@@ -43,16 +43,18 @@ namespace {
 
 using namespace dcv;
 
-/// Precomputed tables, fetched by copy: the cost model of a validator that
-/// already holds this cycle's pulls.
+/// Precomputed tables, fetched by copy into a fresh handle: the cost model
+/// of a validator that already holds this cycle's pulls. A fresh handle per
+/// fetch means the pipeline's identity shortcut never fires, so warm cycles
+/// here measure the fingerprint path.
 class CachedFibSource final : public rcdc::FibSource {
  public:
   explicit CachedFibSource(std::vector<routing::ForwardingTable> tables)
       : tables_(std::move(tables)) {}
 
-  [[nodiscard]] routing::ForwardingTable fetch(
+  [[nodiscard]] rcdc::FetchOutcome try_fetch(
       topo::DeviceId device) const override {
-    return tables_[device];
+    return rcdc::FetchOutcome::success(routing::share_fib(tables_[device]));
   }
 
   /// Perturbs `count` devices' tables (drops one ECMP next hop from their

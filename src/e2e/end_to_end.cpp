@@ -50,8 +50,8 @@ FlowVerdict EndToEndChecker::route(topo::DeviceId source_tor,
                         .max_len = 0};
       return states[device];
     }
-    const routing::ForwardingTable fib = fibs_->fetch(device);
-    if (const routing::Rule* rule = fib.lookup(address);
+    const routing::FibPtr fib = fibs_->fetch(device);
+    if (const routing::Rule* rule = fib->lookup(address);
         rule != nullptr && !rule->connected) {
       for (const topo::DeviceId next : rule->next_hops) {
         const NodeState child = visit(next);  // copy: map may rehash

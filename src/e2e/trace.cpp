@@ -36,8 +36,8 @@ TraceResult trace_flow(const topo::MetadataService& metadata,
       result.hops.push_back(TraceHop{.device = device});
       return result;
     }
-    const routing::ForwardingTable fib = fibs.fetch(device);
-    const routing::Rule* rule = fib.lookup(packet.dst_ip);
+    const routing::FibPtr fib = fibs.fetch(device);
+    const routing::Rule* rule = fib->lookup(packet.dst_ip);
     if (rule == nullptr) {
       result.hops.push_back(TraceHop{.device = device});
       result.outcome = TraceResult::Outcome::kDropped;

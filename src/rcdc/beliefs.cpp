@@ -83,8 +83,8 @@ BeliefResult BeliefChecker::check(const Belief& belief) const {
       computed.paths = 1;
       computed.via_downstream = device == belief.via;
     } else {
-      const routing::ForwardingTable fib = fibs_->fetch(device);
-      if (const routing::Rule* rule = fib.lookup(address);
+      const routing::FibPtr fib = fibs_->fetch(device);
+      if (const routing::Rule* rule = fib->lookup(address);
           rule != nullptr && !rule->connected) {
         for (const topo::DeviceId next : rule->next_hops) {
           const NodeFacts child = visit(next);

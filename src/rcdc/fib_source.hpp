@@ -13,6 +13,7 @@
 #include "routing/fib.hpp"
 #include "routing/fib_synthesizer.hpp"
 #include "topology/device.hpp"
+#include "topology/topology.hpp"
 
 namespace dcv::rcdc {
 
@@ -39,8 +40,7 @@ enum class FetchErrorKind : std::uint8_t {
 [[nodiscard]] std::string_view to_string(FetchErrorKind kind);
 std::ostream& operator<<(std::ostream& os, FetchErrorKind kind);
 
-/// Raised by the legacy infallible FibSource::fetch() path when the
-/// underlying pull fails and no degraded result is available.
+/// Raised by FibSource::fetch() when a pull yields no trustworthy table.
 class FetchError : public Error {
  public:
   FetchError(FetchErrorKind kind, const std::string& what)
@@ -55,16 +55,20 @@ class FetchError : public Error {
 /// Result of one fallible routing-table pull.
 ///
 /// Three shapes occur:
-///  * clean success — `table` engaged, no `error`;
+///  * clean success — `table` set, no `error`;
 ///  * hard failure — no `table`, `error` says why;
-///  * degraded result — both engaged: either garbage from the wire
+///  * degraded result — both set: either garbage from the wire
 ///    (kTruncatedTable / kCorruptedEntry, table holds what arrived) or a
 ///    stale-cache fallback (`stale` set, `staleness` is the table's age).
+///
+/// `table` is a shared immutable handle: a source serving an unchanged table
+/// hands out the same object again, so consumers may treat pointer equality
+/// as content equality. Garbage tables are always new objects.
 ///
 /// Callers that validate a degraded table should treat the verdicts as
 /// lower-confidence (see RiskPolicy::assess and TriageEngine::triage).
 struct FetchOutcome {
-  std::optional<routing::ForwardingTable> table;
+  routing::FibPtr table;
   std::optional<FetchErrorKind> error;
   /// Table served from a cache of the last good pull, not from the device.
   bool stale = false;
@@ -79,13 +83,13 @@ struct FetchOutcome {
   bool breaker_tripped = false;
 
   [[nodiscard]] bool ok() const { return !error.has_value(); }
-  [[nodiscard]] bool has_table() const { return table.has_value(); }
+  [[nodiscard]] bool has_table() const { return table != nullptr; }
   /// True when the table (if any) should not be trusted at full confidence.
   [[nodiscard]] bool degraded() const {
-    return stale || (error.has_value() && table.has_value());
+    return stale || (error.has_value() && has_table());
   }
 
-  [[nodiscard]] static FetchOutcome success(routing::ForwardingTable t) {
+  [[nodiscard]] static FetchOutcome success(routing::FibPtr t) {
     FetchOutcome out;
     out.table = std::move(t);
     return out;
@@ -97,7 +101,7 @@ struct FetchOutcome {
   }
   /// A degraded table that did arrive from the device (truncated/corrupt).
   [[nodiscard]] static FetchOutcome garbage(FetchErrorKind kind,
-                                            routing::ForwardingTable t) {
+                                            routing::FibPtr t) {
     FetchOutcome out;
     out.error = kind;
     out.table = std::move(t);
@@ -110,13 +114,11 @@ struct FetchOutcome {
 /// the EBGP simulator (faithful, including faults), the closed-form
 /// synthesizer (fault-free, arbitrarily large), or parsed device output.
 ///
-/// fetch()/try_fetch() must be safe to call concurrently: the datacenter
-/// validator fans fetches out across worker threads.
-///
-/// try_fetch() is the fallible path the monitoring stack uses; sources
-/// that cannot fail (simulator, synthesizer) inherit the default wrapper
-/// around the infallible fetch(). Decorators with failure semantics
-/// (FlakyFibSource, ResilientFibSource) override it.
+/// try_fetch() is the one fetch path every source implements; it must be
+/// safe to call concurrently (validators fan fetches out across worker
+/// threads) and should report failures as outcomes rather than throw.
+/// fetch() is a throwing convenience over it for callers that need a
+/// trustworthy table or nothing (global checker, tracer, belief checker).
 class FibSource {
  public:
   virtual ~FibSource() = default;
@@ -125,27 +127,27 @@ class FibSource {
   FibSource(const FibSource&) = delete;
   FibSource& operator=(const FibSource&) = delete;
 
-  [[nodiscard]] virtual routing::ForwardingTable fetch(
+  [[nodiscard]] virtual FetchOutcome try_fetch(
       topo::DeviceId device) const = 0;
 
-  [[nodiscard]] virtual FetchOutcome try_fetch(topo::DeviceId device) const {
-    return FetchOutcome::success(fetch(device));
-  }
+  /// The fresh or stale-cached table of a pull; throws FetchError when the
+  /// pull failed or returned only garbage.
+  [[nodiscard]] routing::FibPtr fetch(topo::DeviceId device) const;
 };
 
 /// FIBs produced by the EBGP route-propagation simulator over the current
-/// (possibly faulty) network state. Fetches copy from the simulator's
-/// materialized-FIB cache — the table is programmed from the RIB at most
-/// once per (re)convergence, not once per pipeline cycle (see
+/// (possibly faulty) network state. Fetches hand out the simulator's cached
+/// handle — programmed from the RIB at most once per (re)convergence, the
+/// same object every cycle until the device changes (see
 /// dcv_bgp_fib_rebuilds_total / dcv_bgp_fib_cache_hits_total).
 class SimulatorFibSource final : public FibSource {
  public:
   explicit SimulatorFibSource(const routing::BgpSimulator& simulator)
       : simulator_(&simulator) {}
 
-  [[nodiscard]] routing::ForwardingTable fetch(
+  [[nodiscard]] FetchOutcome try_fetch(
       topo::DeviceId device) const override {
-    return simulator_->fib(device);
+    return FetchOutcome::success(simulator_->fib_handle(device));
   }
 
  private:
@@ -155,18 +157,15 @@ class SimulatorFibSource final : public FibSource {
 /// Decorator applying configured cluster-route aggregation (leaf-originated
 /// aggregates with discard routes; aggregates instead of specifics at the
 /// spine and regional layers) — the design §2.1 rejects, kept for the
-/// black-holing ablation (routing::aggregate_cluster_routes).
+/// black-holing ablation (routing::aggregate_cluster_routes). Inner
+/// failures pass through as outcomes.
 class AggregatingFibSource final : public FibSource {
  public:
   AggregatingFibSource(const FibSource& inner,
                        const topo::MetadataService& metadata)
       : inner_(&inner), metadata_(&metadata) {}
 
-  [[nodiscard]] routing::ForwardingTable fetch(
-      topo::DeviceId device) const override {
-    return routing::aggregate_cluster_routes(inner_->fetch(device),
-                                             *metadata_, device);
-  }
+  [[nodiscard]] FetchOutcome try_fetch(topo::DeviceId device) const override;
 
  private:
   const FibSource* inner_;
@@ -180,13 +179,30 @@ class SynthesizedFibSource final : public FibSource {
   explicit SynthesizedFibSource(const routing::FibSynthesizer& synthesizer)
       : synthesizer_(&synthesizer) {}
 
-  [[nodiscard]] routing::ForwardingTable fetch(
+  [[nodiscard]] FetchOutcome try_fetch(
       topo::DeviceId device) const override {
-    return synthesizer_->fib(device);
+    return FetchOutcome::success(
+        routing::share_fib(synthesizer_->fib(device)));
   }
 
  private:
   const routing::FibSynthesizer* synthesizer_;
+};
+
+/// FIBs parsed from `<dir>/<device name>.rt` files (Figure 2 format, as
+/// dcv_topogen --tables writes), reread on every fetch. A missing file is a
+/// kUnreachable failure and an unparsable one a kCorruptedEntry failure
+/// with no table: one bad file costs coverage, never the run.
+class TableDirFibSource final : public FibSource {
+ public:
+  TableDirFibSource(std::string directory, const topo::Topology& topology)
+      : directory_(std::move(directory)), topology_(&topology) {}
+
+  [[nodiscard]] FetchOutcome try_fetch(topo::DeviceId device) const override;
+
+ private:
+  std::string directory_;
+  const topo::Topology* topology_;
 };
 
 }  // namespace dcv::rcdc

@@ -1,6 +1,8 @@
 #include "rcdc/flaky_fib_source.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 namespace dcv::rcdc {
 
@@ -59,6 +61,25 @@ routing::ForwardingTable corrupt_table(const routing::ForwardingTable& full,
   return out;
 }
 
+/// The fault drawn by one uniform draw `u`, rates taken cumulatively in
+/// the order unreachable, timeout, transient, truncate, corrupt.
+std::optional<FetchErrorKind> draw_fault(const FlakyConfig& config,
+                                         double u) {
+  const std::pair<double, FetchErrorKind> rates[] = {
+      {config.unreachable_rate, FetchErrorKind::kUnreachable},
+      {config.timeout_rate, FetchErrorKind::kTimeout},
+      {config.transient_rate, FetchErrorKind::kTransient},
+      {config.truncate_rate, FetchErrorKind::kTruncatedTable},
+      {config.corrupt_rate, FetchErrorKind::kCorruptedEntry},
+  };
+  double threshold = 0.0;
+  for (const auto& [rate, kind] : rates) {
+    threshold += rate;
+    if (u < threshold) return kind;
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 std::string FlakyFibSource::Record::to_string(
@@ -66,30 +87,6 @@ std::string FlakyFibSource::Record::to_string(
   return std::string("fetch-") + std::string(rcdc::to_string(kind)) + " at " +
          topology.device(device).name + " (attempt " +
          std::to_string(attempt) + ")";
-}
-
-FetchOutcome FlakyFibSource::roll(topo::DeviceId device,
-                                  std::uint64_t attempt) const {
-  const std::uint64_t h = hash3(config_.seed, device, attempt);
-  const double u = to_unit(h);
-
-  double threshold = config_.unreachable_rate;
-  if (u < threshold) return FetchOutcome::failure(FetchErrorKind::kUnreachable);
-  threshold += config_.timeout_rate;
-  if (u < threshold) return FetchOutcome::failure(FetchErrorKind::kTimeout);
-  threshold += config_.transient_rate;
-  if (u < threshold) return FetchOutcome::failure(FetchErrorKind::kTransient);
-  threshold += config_.truncate_rate;
-  if (u < threshold) {
-    return FetchOutcome::garbage(FetchErrorKind::kTruncatedTable,
-                                 truncate_table(inner_->fetch(device), h));
-  }
-  threshold += config_.corrupt_rate;
-  if (u < threshold) {
-    return FetchOutcome::garbage(FetchErrorKind::kCorruptedEntry,
-                                 corrupt_table(inner_->fetch(device), h));
-  }
-  return FetchOutcome::success(inner_->fetch(device));
 }
 
 FetchOutcome FlakyFibSource::try_fetch(topo::DeviceId device) const {
@@ -101,23 +98,25 @@ FetchOutcome FlakyFibSource::try_fetch(topo::DeviceId device) const {
     dead = dead_.contains(device);
   }
 
-  FetchOutcome outcome = dead
-                             ? FetchOutcome::failure(FetchErrorKind::kUnreachable)
-                             : roll(device, attempt);
-  if (!outcome.ok()) {
+  const std::uint64_t h = hash3(config_.seed, device, attempt);
+  const std::optional<FetchErrorKind> fault =
+      dead ? FetchErrorKind::kUnreachable : draw_fault(config_, to_unit(h));
+  if (!fault) return inner_->try_fetch(device);
+  {
     const std::lock_guard lock(mutex_);
     records_.push_back(
-        Record{.device = device, .attempt = attempt, .kind = *outcome.error});
+        Record{.device = device, .attempt = attempt, .kind = *fault});
   }
-  return outcome;
-}
-
-routing::ForwardingTable FlakyFibSource::fetch(topo::DeviceId device) const {
-  FetchOutcome outcome = try_fetch(device);
-  if (outcome.ok()) return std::move(*outcome.table);
-  throw FetchError(*outcome.error,
-                   "fetch failed for device " + std::to_string(device) + ": " +
-                       std::string(to_string(*outcome.error)));
+  if (*fault != FetchErrorKind::kTruncatedTable &&
+      *fault != FetchErrorKind::kCorruptedEntry) {
+    return FetchOutcome::failure(*fault);
+  }
+  FetchOutcome inner = inner_->try_fetch(device);
+  if (!inner.ok()) return inner;
+  return FetchOutcome::garbage(
+      *fault, routing::share_fib(*fault == FetchErrorKind::kTruncatedTable
+                                     ? truncate_table(*inner.table, h)
+                                     : corrupt_table(*inner.table, h)));
 }
 
 void FlakyFibSource::mark_dead(topo::DeviceId device) {

@@ -32,7 +32,7 @@ struct FlakyConfig {
 /// Determinism: the outcome of attempt n for device d is a pure function of
 /// (seed, d, n) — independent of thread interleaving — so runs with the
 /// same seed reproduce the same failure schedule. Per-device attempt
-/// counters advance on every try_fetch()/fetch() call.
+/// counters advance on every try_fetch() (and so fetch()) call.
 ///
 /// Truncation and corruption return *realistic garbage*: a syntactically
 /// valid ForwardingTable that is missing its tail (often including the
@@ -60,17 +60,12 @@ class FlakyFibSource final : public FibSource {
   FlakyFibSource(const FibSource& inner, FlakyConfig config)
       : inner_(&inner), config_(config) {}
 
-  /// The fallible path: rolls the per-device failure schedule forward one
-  /// attempt and either delegates to the inner source, fails, or returns a
-  /// degraded table.
+  /// Rolls the per-device failure schedule forward one attempt and either
+  /// passes the inner outcome through untouched (same table handle), fails,
+  /// or returns a degraded copy of the inner table. fetch() raises
+  /// FetchError on every injected fault — the pre-resilience behavior ("the
+  /// whole run stalls on the first flaky device").
   [[nodiscard]] FetchOutcome try_fetch(topo::DeviceId device) const override;
-
-  /// Legacy infallible path: same schedule, but injected failures raise
-  /// FetchError — this is the pre-resilience behavior ("the whole run
-  /// stalls on the first flaky device") kept for contrast and for callers
-  /// that must not see garbage.
-  [[nodiscard]] routing::ForwardingTable fetch(
-      topo::DeviceId device) const override;
 
   /// Marks a device persistently unreachable regardless of rates (a dead
   /// device: management-plane outage). Every attempt fails kUnreachable
@@ -86,9 +81,6 @@ class FlakyFibSource final : public FibSource {
   [[nodiscard]] const FlakyConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] FetchOutcome roll(topo::DeviceId device,
-                                  std::uint64_t attempt) const;
-
   const FibSource* inner_;
   FlakyConfig config_;
   mutable std::mutex mutex_;

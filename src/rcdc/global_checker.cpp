@@ -29,7 +29,7 @@ enum class VisitState : std::uint8_t { kUnvisited, kInProgress, kDone };
 /// longest-prefix match of the destination address decides the next hops.
 class ActualTraversal {
  public:
-  ActualTraversal(const std::vector<routing::ForwardingTable>& fibs,
+  ActualTraversal(const std::vector<routing::FibPtr>& fibs,
                   net::Ipv4Address address, DeviceId destination)
       : fibs_(&fibs),
         address_(address),
@@ -53,7 +53,7 @@ class ActualTraversal {
                         .max_length = 0,
                         .loop = false};
     } else {
-      const routing::Rule* rule = (*fibs_)[v].lookup(address_);
+      const routing::Rule* rule = (*fibs_)[v]->lookup(address_);
       if (rule != nullptr && !rule->connected) {
         for (const DeviceId next : rule->next_hops) {
           const NodeInfo& child = visit(next);
@@ -81,7 +81,7 @@ class ActualTraversal {
   }
 
  private:
-  const std::vector<routing::ForwardingTable>* fibs_;
+  const std::vector<routing::FibPtr>* fibs_;
   net::Ipv4Address address_;
   DeviceId destination_;
   std::vector<VisitState> states_;
@@ -169,7 +169,7 @@ GlobalCheckResult GlobalChecker::check_all_pairs(
   // snapshot of the routing tables from all the devices and form the
   // composite routing table for the entire network."
   const auto snapshot_start = std::chrono::steady_clock::now();
-  std::vector<routing::ForwardingTable> fibs;
+  std::vector<routing::FibPtr> fibs;
   fibs.reserve(topology.device_count());
   for (const Device& d : topology.devices()) {
     fibs.push_back(fibs_->fetch(d.id));

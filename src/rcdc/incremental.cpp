@@ -99,16 +99,16 @@ IncrementalValidator::CycleResult IncrementalValidator::run_cycle(
       const std::size_t device =
           next_index.fetch_add(1, std::memory_order_relaxed);
       if (device >= device_count) break;
-      const routing::ForwardingTable fib =
+      const routing::FibPtr fib =
           fibs.fetch(static_cast<topo::DeviceId>(device));
       obs::ScopedTimer fingerprint_timer(fingerprint_ns_);
-      const std::uint64_t print = fingerprint(fib);
+      const std::uint64_t print = fingerprint(*fib);
       fingerprint_timer.stop();
       if (print == fingerprints_[device]) continue;  // unchanged: reuse
       const std::span<const Contract> contracts =
           plan->contracts_for(static_cast<topo::DeviceId>(device));
       cached_violations_[device] = verifier->check(
-          fib, contracts, static_cast<topo::DeviceId>(device));
+          *fib, contracts, static_cast<topo::DeviceId>(device));
       fingerprints_[device] = print;
       revalidated.fetch_add(1, std::memory_order_relaxed);
       contracts_checked.fetch_add(contracts.size(),

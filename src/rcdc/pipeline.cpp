@@ -20,7 +20,7 @@ std::atomic<std::uint64_t> g_next_cycle_id{1};
 
 struct Notification {
   topo::DeviceId device = topo::kInvalidDevice;
-  routing::ForwardingTable fib;
+  routing::FibPtr fib;
   std::chrono::nanoseconds simulated_fetch{0};
   /// The table is degraded (stale fallback or truncated/corrupted pull):
   /// violations found on it are reported at degraded confidence.
@@ -103,7 +103,7 @@ struct CycleMetrics {
         "Devices re-verified because their FIB fingerprint changed");
     devices_skipped = &registry->counter(
         "dcv_incremental_devices_skipped_total",
-        "Devices whose cached verdicts were reused (fingerprint unchanged)");
+        "Devices whose cached verdicts were reused (table unchanged)");
     revalidation_ratio = &registry->gauge(
         "dcv_incremental_revalidation_ratio",
         "Fraction of devices re-verified in the latest cycle");
@@ -143,6 +143,7 @@ PipelineStats MonitoringPipeline::run_cycle() {
     // Contracts may have changed for any device: every cached verdict is
     // stale, and the per-device state tracks the new device count.
     plan_epoch_ = plan->epoch();
+    validated_.assign(metadata_->topology().device_count(), nullptr);
     fingerprints_.assign(metadata_->topology().device_count(), 0);
     cached_violations_.assign(metadata_->topology().device_count(), {});
   }
@@ -216,10 +217,11 @@ PipelineStats MonitoringPipeline::run_cycle() {
       } else if (metrics.devices_fresh != nullptr) {
         metrics.devices_fresh->inc();
       }
+      const bool degraded = outcome.degraded();  // before the handle moves
       Notification n{.device = devices[i],
-                     .fib = std::move(*outcome.table),
+                     .fib = std::move(outcome.table),
                      .simulated_fetch = simulated,
-                     .degraded = outcome.degraded()};
+                     .degraded = degraded};
       fetch_sim_total_ns.fetch_add(
           static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(simulated)
@@ -264,17 +266,21 @@ PipelineStats MonitoringPipeline::run_cycle() {
       const std::span<const Contract> contracts =
           plan->contracts_for(notification->device);
 
-      // Incremental skip: an unchanged fingerprint means the cached verdict
-      // for this table content is still exact — replay it through the same
-      // risk/alert path instead of re-verifying. The "cached" vs "verify"
-      // child span distinguishes the two outcomes in traces.
-      std::uint64_t print = 0;
+      // Incremental skip: the very table object last validated, else an
+      // unchanged fingerprint, means the cached verdict is still exact —
+      // replay it through the risk/alert path instead of re-verifying. The
+      // "cached" vs "verify" child span tells the outcomes apart in traces.
       bool skipped = false;
       if (config_.incremental) {
-        obs::ScopedTimer fingerprint_timer(metrics.fingerprint_ns);
-        print = fingerprint(notification->fib);
-        fingerprint_timer.stop();
-        skipped = print == fingerprints_[device_index];
+        skipped = notification->fib == validated_[device_index];
+        if (!skipped) {
+          obs::ScopedTimer fingerprint_timer(metrics.fingerprint_ns);
+          const std::uint64_t print = fingerprint(*notification->fib);
+          fingerprint_timer.stop();
+          skipped = print == fingerprints_[device_index];
+          fingerprints_[device_index] = print;
+        }
+        validated_[device_index] = notification->fib;
       }
 
       std::vector<Violation> fresh;
@@ -288,7 +294,7 @@ PipelineStats MonitoringPipeline::run_cycle() {
       } else {
         obs::Span verify_span("verify", metrics.validate_latency_ns,
                               config_.trace);
-        fresh = verifier->check(notification->fib, contracts,
+        fresh = verifier->check(*notification->fib, contracts,
                                 notification->device);
         const auto verify_elapsed = verify_span.stop();
         validate_total_ns.fetch_add(
@@ -302,7 +308,6 @@ PipelineStats MonitoringPipeline::run_cycle() {
         }
         if (config_.incremental) {
           cached_violations_[device_index] = std::move(fresh);
-          fingerprints_[device_index] = print;
           violations = &cached_violations_[device_index];
         }
       }

@@ -30,15 +30,15 @@ struct PipelineConfig {
   /// stand-in). Pullers block when the queue is full — backpressure instead
   /// of unbounded table buffering. Clamped to ≥ 1.
   std::size_t queue_capacity = 256;
-  /// Incremental validation (on by default): each validated table is
-  /// fingerprinted (order-insensitive semantic hash), and a device whose
-  /// fingerprint is unchanged since its last verdict reuses the cached
-  /// violation list instead of re-verifying — tables are still pulled every
-  /// cycle (that is how change is observed), but steady-state verification
-  /// work drops to the changed set. Cached verdicts are invalidated
-  /// whenever the expected-topology epoch (and hence the contract plan)
+  /// Incremental validation (on by default): a device whose fetched handle
+  /// is the very table object last validated, or else whose fingerprint
+  /// (order-insensitive semantic hash) is unchanged, reuses the cached
+  /// violation list instead of re-verifying. Tables are still pulled every
+  /// cycle (that is how change is observed), but steady-state fingerprint
+  /// and verification work drop to the changed set. The cache is dropped
+  /// whenever the expected-topology epoch (and so the contract plan)
   /// changes. Replayed violations flow through the same risk/alert path as
-  /// fresh ones.
+  /// fresh ones, with the current pull's degraded flag.
   bool incremental = true;
   /// Optional metrics sink (must outlive the pipeline). When set, every
   /// cycle records the dcv_pipeline_* series: fetch/validate latency
@@ -72,8 +72,8 @@ struct PipelineStats {
   /// Devices actually re-verified this cycle (fingerprint changed, first
   /// seen, or incremental mode off).
   std::size_t devices_revalidated = 0;
-  /// Devices whose cached verdicts were replayed because their table
-  /// fingerprint was unchanged (always 0 with incremental mode off).
+  /// Devices whose cached verdicts were replayed because their table was
+  /// unchanged (always 0 with incremental mode off).
   std::size_t devices_skipped = 0;
   /// Extra pull attempts beyond the first, summed over all devices.
   std::size_t retries = 0;
@@ -201,6 +201,9 @@ class MonitoringPipeline {
   // visibility comes from the worker joins). Reset whenever the plan epoch
   // changes.
   std::uint64_t plan_epoch_ = ~std::uint64_t{0};
+  // The table behind each cached verdict; holding it keeps the object
+  // alive, so a later fetch of the same pointer means the same content.
+  std::vector<routing::FibPtr> validated_;
   std::vector<std::uint64_t> fingerprints_;  // 0 = never validated
   std::vector<std::vector<Violation>> cached_violations_;
 

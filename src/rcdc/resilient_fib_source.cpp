@@ -127,7 +127,7 @@ FetchOutcome ResilientFibSource::try_fetch(topo::DeviceId device) const {
     FetchOutcome out = FetchOutcome::failure(FetchErrorKind::kUnreachable);
     out.attempts = 0;
     out.breaker_open = true;
-    if (config_.serve_stale && st.has_cache) {
+    if (config_.serve_stale && st.cached_table != nullptr) {
       out.table = st.cached_table;
       out.stale = true;
       out.staleness = now - st.cached_at;
@@ -197,8 +197,7 @@ FetchOutcome ResilientFibSource::try_fetch(topo::DeviceId device) const {
     st.breaker = BreakerState::kClosed;
     st.consecutive_failures = 0;
     st.probe_inflight = false;
-    st.has_cache = true;
-    st.cached_table = *last.table;
+    st.cached_table = last.table;
     st.cached_at = clock_->now();
     last.attempts = attempts;
     return last;
@@ -231,7 +230,7 @@ FetchOutcome ResilientFibSource::try_fetch(topo::DeviceId device) const {
       }
     }
     if (tripped && breaker_to_open_ != nullptr) breaker_to_open_->inc();
-    if (config_.serve_stale && st.has_cache) {
+    if (config_.serve_stale && st.cached_table != nullptr) {
       last.table = st.cached_table;
       last.stale = true;
       last.staleness = clock_->now() - st.cached_at;
@@ -242,16 +241,6 @@ FetchOutcome ResilientFibSource::try_fetch(topo::DeviceId device) const {
   last.attempts = attempts;
   last.breaker_tripped = tripped;
   return last;
-}
-
-routing::ForwardingTable ResilientFibSource::fetch(
-    topo::DeviceId device) const {
-  FetchOutcome outcome = try_fetch(device);
-  if (outcome.has_table()) return std::move(*outcome.table);
-  throw FetchError(*outcome.error,
-                   "fetch failed for device " + std::to_string(device) +
-                       " after " + std::to_string(outcome.attempts) +
-                       " attempts: " + std::string(to_string(*outcome.error)));
 }
 
 ResilienceStats ResilientFibSource::stats() const {

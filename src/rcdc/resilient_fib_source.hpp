@@ -128,11 +128,6 @@ class ResilientFibSource final : public FibSource {
 
   [[nodiscard]] FetchOutcome try_fetch(topo::DeviceId device) const override;
 
-  /// Legacy infallible path: throws FetchError when no table (fresh or
-  /// stale) could be produced.
-  [[nodiscard]] routing::ForwardingTable fetch(
-      topo::DeviceId device) const override;
-
   [[nodiscard]] ResilienceStats stats() const;
   [[nodiscard]] BreakerState breaker_state(topo::DeviceId device) const;
   [[nodiscard]] const ResilienceConfig& config() const { return config_; }
@@ -144,8 +139,9 @@ class ResilientFibSource final : public FibSource {
     std::chrono::steady_clock::time_point opened_at{};
     /// A half-open probe is in flight; concurrent fetches short-circuit.
     bool probe_inflight = false;
-    bool has_cache = false;
-    routing::ForwardingTable cached_table;
+    /// Handle of the last good pull (null until one succeeds); a stale
+    /// fallback serves this very object.
+    routing::FibPtr cached_table;
     std::chrono::steady_clock::time_point cached_at{};
   };
 

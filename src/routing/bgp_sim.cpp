@@ -244,18 +244,17 @@ const Rib& BgpSimulator::rib(topo::DeviceId device) const {
   return ribs_[device];
 }
 
-const ForwardingTable& BgpSimulator::fib(topo::DeviceId device) const {
+FibPtr BgpSimulator::fib_handle(topo::DeviceId device) const {
   if (device >= ribs_.size()) throw InvalidArgument("bad device id");
   const std::lock_guard lock(fib_locks_[device % fib_locks_.size()]);
-  std::unique_ptr<ForwardingTable>& slot = fib_cache_[device];
+  FibPtr& slot = fib_cache_[device];
   if (slot == nullptr) {
-    slot = std::make_unique<ForwardingTable>(
-        program_fib(ribs_[device], faults_, device));
+    slot = share_fib(program_fib(ribs_[device], faults_, device));
     if (fib_rebuilds_ != nullptr) fib_rebuilds_->inc();
   } else if (fib_hits_ != nullptr) {
     fib_hits_->inc();
   }
-  return *slot;
+  return slot;
 }
 
 std::size_t BgpSimulator::route_state_bytes() const {

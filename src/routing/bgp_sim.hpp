@@ -268,7 +268,13 @@ class BgpSimulator {
   /// devices whose RIB (or FIB-fault state) actually changed, so steady
   /// monitoring cycles stop rebuilding ForwardingTables. Safe to call
   /// concurrently.
-  [[nodiscard]] const ForwardingTable& fib(topo::DeviceId device) const;
+  /// fib_handle() shares the cached object (the same one until the device
+  /// changes; an older handle keeps its content); fib() is a view valid
+  /// until the next reconverge().
+  [[nodiscard]] FibPtr fib_handle(topo::DeviceId device) const;
+  [[nodiscard]] const ForwardingTable& fib(topo::DeviceId device) const {
+    return *fib_handle(device);
+  }
 
   /// Number of synchronous rounds of the most recent convergence (the
   /// initial cold run, or the latest reconverge()).
@@ -357,7 +363,7 @@ class BgpSimulator {
 
   // Lazily materialized per-device FIBs, striped locks for concurrent
   // fetches.
-  mutable std::vector<std::unique_ptr<ForwardingTable>> fib_cache_;
+  mutable std::vector<FibPtr> fib_cache_;
   mutable std::array<std::mutex, 64> fib_locks_;
 
   // Devices invalidated since the last take_changed_devices() drain

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/prefix.hpp"
@@ -67,6 +69,16 @@ class ForwardingTable {
  private:
   std::vector<Rule> rules_;
 };
+
+/// A shared, immutable handle to one device's FIB. Handles are how tables
+/// move between layers (simulator cache → fetch decorators → validators)
+/// without copying; two handles to the same object mean the same content.
+using FibPtr = std::shared_ptr<const ForwardingTable>;
+
+/// Moves a freshly built table behind a handle.
+[[nodiscard]] inline FibPtr share_fib(ForwardingTable table) {
+  return std::make_shared<const ForwardingTable>(std::move(table));
+}
 
 /// Canonicalizes a next-hop set: sorted ascending, duplicates removed.
 inline void canonicalize(std::vector<topo::DeviceId>& next_hops) {

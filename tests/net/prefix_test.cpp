@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string_view>
+#include <utility>
 
 #include "net/error.hpp"
 
@@ -113,9 +115,11 @@ TEST(PrefixDifference, SplitsIntoSiblings) {
 }
 
 /// Property: the difference pieces are disjoint from inner, nested in
-/// outer, and together with inner exactly tile outer.
-class PrefixDifferenceProperty
-    : public testing::TestWithParam<std::pair<const char*, const char*>> {};
+/// outer, and together with inner exactly tile outer. The prefixes are
+/// string_views so the test names print their text rather than the
+/// run-to-run addresses of the literals.
+using PrefixPair = std::pair<std::string_view, std::string_view>;
+class PrefixDifferenceProperty : public testing::TestWithParam<PrefixPair> {};
 
 TEST_P(PrefixDifferenceProperty, TilesOuter) {
   const Prefix outer = Prefix::parse(GetParam().first);
@@ -139,11 +143,11 @@ TEST_P(PrefixDifferenceProperty, TilesOuter) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, PrefixDifferenceProperty,
-    testing::Values(std::pair{"10.0.0.0/8", "10.0.0.0/16"},
-                    std::pair{"10.0.0.0/8", "10.255.255.0/24"},
-                    std::pair{"0.0.0.0/0", "10.37.0.0/16"},
-                    std::pair{"10.0.0.0/8", "10.129.3.7/32"},
-                    std::pair{"192.168.0.0/16", "192.168.128.0/17"}));
+    testing::Values(PrefixPair{"10.0.0.0/8", "10.0.0.0/16"},
+                    PrefixPair{"10.0.0.0/8", "10.255.255.0/24"},
+                    PrefixPair{"0.0.0.0/0", "10.37.0.0/16"},
+                    PrefixPair{"10.0.0.0/8", "10.129.3.7/32"},
+                    PrefixPair{"192.168.0.0/16", "192.168.128.0/17"}));
 
 /// Property over random prefixes: contains() agrees with the interval view.
 TEST(PrefixProperty, ContainsAgreesWithRange) {

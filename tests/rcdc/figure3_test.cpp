@@ -86,7 +86,7 @@ TEST_F(ContractsInAction, TorDefaultViolationShowsTwoOfFourHops) {
   TrieVerifier verifier;
   const auto tor1 = *topology_.find_device("ToR1");
   const auto contracts = generator.for_device(tor1);
-  const auto violations = verifier.check(fibs.fetch(tor1), contracts, tor1);
+  const auto violations = verifier.check(*fibs.fetch(tor1), contracts, tor1);
   // Find the default-route violation: actual 2 hops vs expected 4.
   bool found = false;
   for (const Violation& v : violations) {

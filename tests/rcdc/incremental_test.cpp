@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <random>
 
+#include "rcdc/pipeline.hpp"
 #include "routing/bgp_sim.hpp"
 #include "topology/clos_builder.hpp"
 
@@ -103,18 +104,16 @@ class PermutingFibSource final : public FibSource {
   PermutingFibSource(const FibSource& inner, std::uint64_t seed)
       : inner_(&inner), seed_(seed) {}
 
-  [[nodiscard]] routing::ForwardingTable fetch(
-      topo::DeviceId device) const override {
-    const routing::ForwardingTable original = inner_->fetch(device);
+  [[nodiscard]] FetchOutcome try_fetch(topo::DeviceId device) const override {
     std::mt19937_64 rng(seed_ ^ (0x9E3779B97F4A7C15ull * (device + 1)));
-    auto rules = original.rules();
+    auto rules = inner_->fetch(device)->rules();
     std::shuffle(rules.begin(), rules.end(), rng);
     routing::ForwardingTable permuted;
     for (auto& rule : rules) {
       std::shuffle(rule.next_hops.begin(), rule.next_hops.end(), rng);
       permuted.add(std::move(rule));
     }
-    return permuted;
+    return FetchOutcome::success(routing::share_fib(std::move(permuted)));
   }
 
  private:
@@ -148,6 +147,33 @@ TEST_F(IncrementalTest, PermutedEquivalentFibIsNotRevalidated) {
     EXPECT_EQ(cycle.contracts_checked, 0u);
     EXPECT_EQ(cycle.violations, first.violations);
   }
+}
+
+// The monitoring pipeline's identity shortcut must not be the only way to
+// skip: a source that serves a fresh handle with equal content each cycle
+// is fingerprinted every cycle, and the fingerprint still spares verify.
+TEST_F(IncrementalTest, PipelineSkipsFreshEqualHandlesByFingerprint) {
+  const routing::BgpSimulator sim(topology_);
+  const SimulatorFibSource inner(sim);
+  const PermutingFibSource permuted(inner, 7);
+  obs::MetricsRegistry registry;
+  MonitoringPipeline pipeline(
+      metadata_, permuted, make_trie_verifier_factory(),
+      PipelineConfig{.puller_workers = 2,
+                     .validator_workers = 2,
+                     .fetch_latency_min = std::chrono::microseconds(0),
+                     .fetch_latency_max = std::chrono::microseconds(0),
+                     .time_scale = 0.0,
+                     .metrics = &registry});
+  const obs::Histogram& prints =
+      registry.histogram("dcv_incremental_fingerprint_ns", "");
+  const auto cold = pipeline.run_cycle();
+  ASSERT_EQ(cold.devices_revalidated, cold.devices);
+  const auto warm = pipeline.run_cycle();
+  EXPECT_EQ(prints.count(), 2 * cold.devices);
+  EXPECT_EQ(warm.devices_revalidated, 0u);
+  EXPECT_EQ(warm.devices_skipped, warm.devices);
+  EXPECT_EQ(warm.contracts_checked, 0u);
 }
 
 TEST_F(IncrementalTest, UnchangedNetworkRevalidatesNothing) {

@@ -6,6 +6,7 @@
 #include "rcdc/resilient_fib_source.hpp"
 #include "routing/bgp_sim.hpp"
 #include "topology/clos_builder.hpp"
+#include "topology/faults.hpp"
 
 namespace dcv::rcdc {
 namespace {
@@ -376,6 +377,93 @@ TEST(MonitoringPipeline, NonIncrementalModeRechecksEveryCycle) {
   EXPECT_GT(second.contracts_checked, 0u);
   EXPECT_EQ(second.devices_revalidated, second.devices);
   EXPECT_EQ(second.devices_skipped, 0u);
+}
+
+std::uint64_t fingerprint_count(obs::MetricsRegistry& registry) {
+  return registry.histogram("dcv_incremental_fingerprint_ns", "").count();
+}
+
+// The identity fast path: the simulator hands out the same table object
+// while a device is unchanged, so a no-change warm cycle neither verifies
+// nor even fingerprints a single device.
+TEST(MonitoringPipeline, UnchangedHandlesSkipFingerprintAndVerify) {
+  const auto topology = topo::build_clos(topo::ClosParams{});
+  const topo::MetadataService metadata(topology);
+  const routing::BgpSimulator sim(topology);
+  const SimulatorFibSource fibs(sim);
+  obs::MetricsRegistry registry;
+  PipelineConfig config = fast_config();
+  config.metrics = &registry;
+  MonitoringPipeline pipeline(metadata, fibs, make_trie_verifier_factory(),
+                              config);
+  const auto cold = pipeline.run_cycle();
+  EXPECT_EQ(fingerprint_count(registry), cold.devices_revalidated);
+  EXPECT_EQ(cold.devices_revalidated, cold.devices);
+
+  const auto warm = pipeline.run_cycle();
+  EXPECT_EQ(fingerprint_count(registry), cold.devices_revalidated);
+  EXPECT_EQ(warm.devices_revalidated, 0u);
+  EXPECT_EQ(warm.devices_skipped, warm.devices);
+  EXPECT_EQ(warm.contracts_checked, 0u);
+}
+
+// After a device fault and a warm reconvergence only the devices whose
+// cached table the simulator replaced are fingerprinted; the rest ride the
+// identity path.
+TEST(MonitoringPipeline, OnlyChangedHandlesAreFingerprinted) {
+  auto topology = topo::build_clos(topo::ClosParams{});
+  const topo::MetadataService metadata(topology);
+  topo::FaultInjector faults(topology);
+  routing::BgpSimulator sim(topology, &faults);
+  const SimulatorFibSource fibs(sim);
+  obs::MetricsRegistry registry;
+  PipelineConfig config = fast_config();
+  config.metrics = &registry;
+  MonitoringPipeline pipeline(metadata, fibs, make_trie_verifier_factory(),
+                              config);
+  const auto cold = pipeline.run_cycle();
+  ASSERT_EQ(cold.devices, topology.device_count());
+  ASSERT_EQ(cold.violations, 0u);
+
+  std::vector<routing::FibPtr> before;
+  for (const topo::Device& d : topology.devices()) {
+    before.push_back(sim.fib_handle(d.id));
+  }
+  const topo::DeviceId tor = topology.devices_with_role(
+      topo::DeviceRole::kTor)[0];
+  faults.device_fault(tor, topo::DeviceFaultKind::kRejectDefaultRoute);
+  ASSERT_GT(sim.reconverge(), 0);
+  std::size_t changed = 0;
+  for (const topo::Device& d : topology.devices()) {
+    if (sim.fib_handle(d.id) != before[d.id]) ++changed;
+  }
+  ASSERT_GT(changed, 0u);
+  ASSERT_LT(changed, cold.devices);
+
+  const std::uint64_t cold_prints = fingerprint_count(registry);
+  const auto warm = pipeline.run_cycle();
+  EXPECT_EQ(fingerprint_count(registry) - cold_prints, changed);
+  EXPECT_GT(warm.devices_revalidated, 0u);
+  EXPECT_LE(warm.devices_revalidated, changed);
+  EXPECT_EQ(warm.devices_revalidated + warm.devices_skipped, warm.devices);
+  EXPECT_GT(warm.violations, 0u);
+}
+
+// An expected-topology change invalidates every verdict, so held handles
+// must not short-circuit the cycle even though no table changed.
+TEST(MonitoringPipeline, EpochBumpRevalidatesDespiteSameHandles) {
+  auto topology = topo::build_figure3();
+  const topo::MetadataService metadata(topology);
+  const routing::BgpSimulator sim(topology);
+  const SimulatorFibSource fibs(sim);
+  MonitoringPipeline pipeline(metadata, fibs, make_trie_verifier_factory(),
+                              fast_config());
+  (void)pipeline.run_cycle();
+  ASSERT_EQ(pipeline.run_cycle().devices_revalidated, 0u);
+  topology.set_asn(*topology.find_device("ToR1"), topo::Asn{65099});
+  const auto after = pipeline.run_cycle();
+  EXPECT_EQ(after.devices_revalidated, after.devices);
+  EXPECT_EQ(after.devices_skipped, 0u);
 }
 
 }  // namespace

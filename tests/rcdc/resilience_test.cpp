@@ -28,7 +28,7 @@ routing::ForwardingTable simple_table() {
 class ScriptedFibSource final : public FibSource {
  public:
   explicit ScriptedFibSource(routing::ForwardingTable table)
-      : table_(std::move(table)) {}
+      : table_(routing::share_fib(std::move(table))) {}
 
   void fail_next(topo::DeviceId device, int count, FetchErrorKind kind) {
     remaining_[device] = count;
@@ -50,15 +50,8 @@ class ScriptedFibSource final : public FibSource {
     return FetchOutcome::success(table_);
   }
 
-  [[nodiscard]] routing::ForwardingTable fetch(
-      topo::DeviceId device) const override {
-    FetchOutcome outcome = try_fetch(device);
-    if (!outcome.ok()) throw FetchError(*outcome.error, "scripted failure");
-    return std::move(*outcome.table);
-  }
-
  private:
-  routing::ForwardingTable table_;
+  routing::FibPtr table_;
   mutable std::map<topo::DeviceId, int> remaining_;  // -1 = fail forever
   mutable std::map<topo::DeviceId, int> calls_;
   std::map<topo::DeviceId, FetchErrorKind> kind_;
@@ -355,10 +348,6 @@ TEST(ResilientFibSource, StaleCacheBeatsFreshGarbage) {
     [[nodiscard]] FetchOutcome try_fetch(topo::DeviceId d) const override {
       return calls++ == 0 ? clean->try_fetch(d) : flaky->try_fetch(d);
     }
-    [[nodiscard]] routing::ForwardingTable fetch(
-        topo::DeviceId d) const override {
-      return clean->fetch(d);
-    }
   };
   const FlakyFibSource flaky(inner, flaky_config);
   CleanThenFlaky switching;
@@ -380,7 +369,7 @@ TEST(ResilientFibSource, LegacyFetchReturnsTableOrThrows) {
   config.serve_stale = false;
   ManualFetchClock clock;
   const ResilientFibSource source(inner, config, &clock);
-  EXPECT_EQ(source.fetch(0), simple_table());
+  EXPECT_EQ(*source.fetch(0), simple_table());
   inner.fail_next(1, -1, FetchErrorKind::kUnreachable);
   EXPECT_THROW((void)source.fetch(1), FetchError);
 }

@@ -25,7 +25,7 @@ class TriageTest : public testing::Test {
     const SimulatorFibSource fibs(sim);
     const ContractGenerator generator(metadata_);
     TrieVerifier verifier;
-    return verifier.check(fibs.fetch(id(device)),
+    return verifier.check(*fibs.fetch(id(device)),
                           generator.for_device(id(device)), id(device));
   }
 

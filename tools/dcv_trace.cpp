@@ -5,7 +5,6 @@
 // and the belief checker (all paths) with the single-path view an
 // operator reaches for first when debugging.
 #include <charconv>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -13,7 +12,6 @@
 
 #include "e2e/trace.hpp"
 #include "routing/bgp_sim.hpp"
-#include "routing/table_io.hpp"
 #include "topology/topology_io.hpp"
 
 namespace {
@@ -42,24 +40,6 @@ std::string slurp(const std::string& path) {
   out << in.rdbuf();
   return out.str();
 }
-
-class FileFibSource final : public rcdc::FibSource {
- public:
-  FileFibSource(std::string directory, const topo::Topology& topology)
-      : directory_(std::move(directory)), topology_(&topology) {}
-
-  [[nodiscard]] routing::ForwardingTable fetch(
-      topo::DeviceId device) const override {
-    const auto path = std::filesystem::path(directory_) /
-                      (topology_->device(device).name + ".rt");
-    return routing::to_forwarding_table(
-        routing::parse_routing_table(slurp(path.string())), *topology_);
-  }
-
- private:
-  std::string directory_;
-  const topo::Topology* topology_;
-};
 
 unsigned parse_number(const std::string& text, const char* flag) {
   unsigned value = 0;
@@ -142,7 +122,7 @@ int main(int argc, char** argv) {
       simulator = std::make_unique<routing::BgpSimulator>(topology);
       fibs = std::make_unique<rcdc::SimulatorFibSource>(*simulator);
     } else {
-      fibs = std::make_unique<FileFibSource>(tables_dir, topology);
+      fibs = std::make_unique<rcdc::TableDirFibSource>(tables_dir, topology);
     }
 
     bool all_delivered = true;

@@ -28,7 +28,6 @@
 #include "rcdc/validator.hpp"
 #include "routing/bgp_sim.hpp"
 #include "routing/fib_synthesizer.hpp"
-#include "routing/table_io.hpp"
 #include "topology/topology_io.hpp"
 
 namespace {
@@ -93,26 +92,6 @@ std::string slurp(const std::string& path) {
   out << in.rdbuf();
   return out.str();
 }
-
-/// FIBs parsed from a directory of routing-table files (same format as
-/// rcdc_validate --tables).
-class FileFibSource final : public rcdc::FibSource {
- public:
-  FileFibSource(std::string directory, const topo::Topology& topology)
-      : directory_(std::move(directory)), topology_(&topology) {}
-
-  [[nodiscard]] routing::ForwardingTable fetch(
-      topo::DeviceId device) const override {
-    const auto path = std::filesystem::path(directory_) /
-                      (topology_->device(device).name + ".rt");
-    return routing::to_forwarding_table(
-        routing::parse_routing_table(slurp(path.string())), *topology_);
-  }
-
- private:
-  std::string directory_;
-  const topo::Topology* topology_;
-};
 
 volatile std::sig_atomic_t g_stop = 0;
 void on_signal(int) { g_stop = 1; }
@@ -291,7 +270,7 @@ int main(int argc, char** argv) {
     std::unique_ptr<routing::FibSynthesizer> synthesizer;
     std::unique_ptr<rcdc::FibSource> fibs;
     if (!tables_dir.empty()) {
-      fibs = std::make_unique<FileFibSource>(tables_dir, topology);
+      fibs = std::make_unique<rcdc::TableDirFibSource>(tables_dir, topology);
     } else if (source_name == "synth") {
       synthesizer = std::make_unique<routing::FibSynthesizer>(metadata);
       fibs = std::make_unique<rcdc::SynthesizedFibSource>(*synthesizer);

@@ -37,7 +37,6 @@
 #include "rcdc/triage.hpp"
 #include "rcdc/validator.hpp"
 #include "routing/bgp_sim.hpp"
-#include "routing/table_io.hpp"
 #include "topology/topology_io.hpp"
 
 namespace {
@@ -148,25 +147,6 @@ std::string slurp(const std::string& path) {
   out << in.rdbuf();
   return out.str();
 }
-
-/// FIBs parsed from a directory of routing-table files.
-class FileFibSource final : public rcdc::FibSource {
- public:
-  FileFibSource(std::string directory, const topo::Topology& topology)
-      : directory_(std::move(directory)), topology_(&topology) {}
-
-  [[nodiscard]] routing::ForwardingTable fetch(
-      topo::DeviceId device) const override {
-    const auto path = std::filesystem::path(directory_) /
-                      (topology_->device(device).name + ".rt");
-    return routing::to_forwarding_table(
-        routing::parse_routing_table(slurp(path.string())), *topology_);
-  }
-
- private:
-  std::string directory_;
-  const topo::Topology* topology_;
-};
 
 /// Per-stage latency summary from every histogram that saw samples, ns
 /// rendered as ms. The "stages" are exactly the instrumented subsystems:
@@ -720,7 +700,7 @@ int main(int argc, char** argv) {
           std::make_unique<routing::BgpSimulator>(topology, nullptr, metrics);
       fibs = std::make_unique<rcdc::SimulatorFibSource>(*simulator);
     } else {
-      fibs = std::make_unique<FileFibSource>(tables_dir, topology);
+      fibs = std::make_unique<rcdc::TableDirFibSource>(tables_dir, topology);
     }
 
     // Optional fetch-layer decorators: failure injection under the
@@ -878,7 +858,7 @@ int main(int argc, char** argv) {
               << std::chrono::duration<double>(summary.elapsed).count()
               << " s (" << verifier_name << ", " << threads
               << " threads)\n";
-    if (use_flaky || use_resilience) {
+    if (use_flaky || use_resilience || summary.devices_failed > 0) {
       std::cout << "fetch layer: coverage " << 100.0 * summary.coverage()
                 << "% (" << summary.devices_failed << " failed, "
                 << summary.devices_stale << " stale, " << summary.retries
