@@ -6,7 +6,7 @@
 
 #include "obs/metrics_serde.hpp"
 #include "obs/span_serde.hpp"
-#include "rcdc/incremental.hpp"
+#include "rcdc/verdict_cache.hpp"
 
 namespace dcv::dist {
 
@@ -16,6 +16,7 @@ WorkerSession::WorkerSession(const rcdc::FibSource& fibs,
     : fibs_(&fibs),
       verifier_factory_(std::move(verifier_factory)),
       config_(std::move(config)),
+      metrics_(config_.metrics),
       clock_(config_.clock != nullptr ? config_.clock : &default_clock_) {}
 
 SessionEnd WorkerSession::run(Transport& transport) {
@@ -90,7 +91,8 @@ bool WorkerSession::validate_shard(
     std::chrono::nanoseconds heartbeat_interval) {
   const auto start = clock_->now();
   auto last_heartbeat = start;
-  const auto verifier = verifier_factory_();
+  rcdc::StepTally tally;
+  rcdc::DeviceStep step(verifier_factory_, tally, metrics_);
 
   ResultMsg result;
   result.shard_id = assignment.shard_id;
@@ -146,28 +148,26 @@ bool WorkerSession::validate_shard(
     ++done;
     if (work.contracts.empty()) continue;
     const auto fetch_start = clock_->now();
-    rcdc::FetchOutcome outcome = fibs_->try_fetch(work.device);
+    const rcdc::FetchOutcome outcome = fibs_->try_fetch(work.device);
     if (scaled_latency.count() > 0) clock_->sleep_for(scaled_latency);
-    add_span("fetch", fetch_start, clock_->now() - fetch_start);
-    if (outcome.attempts > 1) result.retries += outcome.attempts - 1;
-    if (outcome.breaker_tripped) ++result.breaker_opens;
-    if (!outcome.has_table()) {
-      ++result.devices_failed;
-      continue;
+    const auto fetch_elapsed = clock_->now() - fetch_start;
+    add_span("fetch", fetch_start, fetch_elapsed);
+    if (metrics_.fetch_latency_ns != nullptr) {
+      metrics_.fetch_latency_ns->observe(
+          static_cast<std::uint64_t>(fetch_elapsed.count()));
     }
-    if (outcome.stale) ++result.devices_stale;
+    if (!step.account(outcome)) continue;
     result.fingerprints.emplace_back(work.device,
                                      rcdc::fingerprint(*outcome.table));
     const auto validate_start = clock_->now();
-    auto violations =
-        verifier->check(*outcome.table, work.contracts, work.device);
+    std::vector<rcdc::Violation> violations = step.check(
+        work.device, work.contracts, outcome.table, outcome.degraded());
     add_span("validate", validate_start, clock_->now() - validate_start);
-    result.contracts_checked += work.contracts.size();
-    if (outcome.degraded()) result.violations_degraded += violations.size();
     result.violations.insert(result.violations.end(),
                              std::make_move_iterator(violations.begin()),
                              std::make_move_iterator(violations.end()));
   }
+  tally.copy_to(result);
 
   const auto finished = clock_->now();
   result.elapsed_ns = static_cast<std::uint64_t>((finished - start).count());

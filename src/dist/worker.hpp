@@ -30,9 +30,10 @@ struct WorkerSessionConfig {
   std::chrono::nanoseconds handshake_deadline{std::chrono::seconds(10)};
   /// Idle poll sleep while waiting for frames.
   std::chrono::nanoseconds poll_interval{std::chrono::milliseconds(2)};
-  /// When non-null (must outlive the session), local validation metrics
-  /// accumulate here and a dcv-metrics-v1 snapshot rides on every result
-  /// frame for the coordinator to merge under {worker=<id>}.
+  /// When non-null (must outlive the session), the per-device step's
+  /// series (rcdc::StepMetrics) accumulate here and a dcv-metrics-v1
+  /// snapshot rides on every result frame for the coordinator to merge
+  /// under {worker=<id>}.
   obs::MetricsRegistry* metrics = nullptr;
   /// When non-null (must outlive the session), the shard/fetch/validate
   /// spans shipped to the coordinator are also mirrored here, so a lone
@@ -53,11 +54,13 @@ enum class SessionEnd : std::uint8_t {
 
 /// One worker's side of the protocol, over one connected transport:
 /// hello → welcome → (assign → validate shard → result)* until shutdown or
-/// connection loss. The fetch→validate inner loop is the same per-device
-/// discipline as DatacenterValidator::run — fetch through the FibSource
-/// (failures count against coverage, never throw), check contracts that
-/// arrived on the wire, fingerprint each fetched table — plus heartbeats
-/// at the coordinator-advertised cadence so the shard lease stays alive.
+/// connection loss. Each device goes through rcdc::DeviceStep, the same
+/// per-device step as the batch validator and the monitoring pipeline:
+/// fetch through the FibSource (failures count against coverage, never
+/// throw), check the contracts that arrived on the wire. The shard loop
+/// adds only what is remote: a fingerprint of each fetched table for the
+/// coordinator, and heartbeats at the coordinator-advertised cadence so
+/// the shard lease stays alive.
 class WorkerSession {
  public:
   /// `fibs` and `verifier_factory` must outlive the session.
@@ -81,6 +84,7 @@ class WorkerSession {
   const rcdc::FibSource* fibs_;
   rcdc::VerifierFactory verifier_factory_;
   WorkerSessionConfig config_;
+  rcdc::StepMetrics metrics_;
   rcdc::SystemFetchClock default_clock_;
   rcdc::FetchClock* clock_;
   std::uint64_t shards_validated_ = 0;

@@ -34,7 +34,8 @@ struct BurndownConfig {
   std::size_t low_risk_capacity_per_day = 4;
   std::uint64_t seed = 42;
   /// Optional metrics sink (must outlive the call): the daily RCDC runs
-  /// record their dcv_validator_* / dcv_verifier_* / dcv_bgp_* series here.
+  /// record their per-device step (dcv_pipeline_* / dcv_incremental_*),
+  /// dcv_verifier_* and dcv_bgp_* series here.
   obs::MetricsRegistry* metrics = nullptr;
 };
 

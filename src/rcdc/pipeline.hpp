@@ -11,6 +11,7 @@
 #include "obs/span.hpp"
 #include "rcdc/severity.hpp"
 #include "rcdc/validator.hpp"
+#include "rcdc/verdict_cache.hpp"
 
 namespace dcv::rcdc {
 
@@ -41,9 +42,13 @@ struct PipelineConfig {
   /// fresh ones, with the current pull's degraded flag.
   bool incremental = true;
   /// Optional metrics sink (must outlive the pipeline). When set, every
-  /// cycle records the dcv_pipeline_* series: fetch/validate latency
-  /// histograms, queue depth/wait, coverage, retry and breaker counters.
-  /// When null the instrumentation is fully disabled (no atomics touched).
+  /// cycle records the per-device step's series (StepMetrics: the
+  /// dcv_pipeline_* fetch/validate latency, device, retry, breaker,
+  /// violation and coverage series and the dcv_incremental_* fingerprint
+  /// and revalidated/skipped series) plus the pipeline's own queue
+  /// depth/wait, simulated-fetch, cycle and revalidation-ratio series.
+  /// When null no metric is recorded; the cycle's PipelineStats are
+  /// counted either way.
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional span sink (must outlive the pipeline). When set, every cycle
   /// records a causal span tree: a root "cycle" span (with "contracts" as
@@ -196,16 +201,10 @@ class MonitoringPipeline {
   /// contracts (stage 1 becomes a pointer copy in steady state).
   ContractGenerator generator_;
 
-  // Incremental-validation state, owned by run_cycle (each device index is
+  // Incremental-validation state, keyed to the plan epoch (each device is
   // touched by exactly one validator worker per cycle; cross-cycle
-  // visibility comes from the worker joins). Reset whenever the plan epoch
-  // changes.
-  std::uint64_t plan_epoch_ = ~std::uint64_t{0};
-  // The table behind each cached verdict; holding it keeps the object
-  // alive, so a later fetch of the same pointer means the same content.
-  std::vector<routing::FibPtr> validated_;
-  std::vector<std::uint64_t> fingerprints_;  // 0 = never validated
-  std::vector<std::vector<Violation>> cached_violations_;
+  // visibility comes from the worker joins).
+  VerdictCache verdicts_;
 
   // Telemetry-plane state, updated by run_cycle and read by health().
   std::atomic<std::uint64_t> cycles_completed_{0};

@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "rcdc/incremental.hpp"
 #include "rcdc/trie_verifier.hpp"
 
 namespace dcv::rcdc {
@@ -105,16 +104,22 @@ PrecheckSession::PrecheckSession(const topo::Topology& production,
       validator_(intent_, fibs_, make_trie_verifier_factory(), options_) {
   // The one cold pass: converge (done by the simulator constructor),
   // validate everything, and record the per-device baseline every later
-  // check diffs against.
-  ValidationSummary summary = validator_.run(threads_);
+  // check diffs against. The entries pin no table handle: reconvergence
+  // rebuilds exactly the candidates' tables, so identity could never match
+  // one, and pinning would keep a second copy of every rebuilt table.
+  const ValidationSummary summary = validator_.run(threads_);
   baseline_total_ = summary.violations.size();
-  baseline_by_device_.resize(base_.device_count());
-  for (Violation& violation : summary.violations) {
-    baseline_by_device_[violation.device].push_back(std::move(violation));
-  }
-  baseline_fp_.resize(base_.device_count());
+  baseline_.set_epoch(base_epoch_, base_.device_count());
+  auto violation = summary.violations.begin();  // sorted by device
   for (std::size_t d = 0; d < base_.device_count(); ++d) {
-    baseline_fp_[d] = fingerprint(simulator_.fib(static_cast<topo::DeviceId>(d)));
+    const auto device = static_cast<topo::DeviceId>(d);
+    const auto first = violation;
+    while (violation != summary.violations.end() &&
+           violation->device == device) {
+      ++violation;
+    }
+    (void)baseline_.store(device, nullptr, fingerprint(simulator_.fib(device)),
+                          {first, violation});
   }
   (void)simulator_.take_changed_devices();  // the cold run marked everything
 }
@@ -141,12 +146,13 @@ PrecheckResult PrecheckSession::evaluate(
 
   divergent.clear();
   for (const topo::DeviceId device : candidates) {
-    if (fingerprint(simulator_.fib(device)) != baseline_fp_[device]) {
+    if (baseline_.lookup(device, simulator_.fib_handle(device)).violations ==
+        nullptr) {
       divergent.push_back(device);
     }
   }
   devices_revalidated_ += divergent.size();
-  devices_skipped_ += baseline_fp_.size() - divergent.size();
+  devices_skipped_ += base_.device_count() - divergent.size();
   ++checks_run_;
 
   if (divergent.empty()) {
@@ -158,12 +164,12 @@ PrecheckResult PrecheckSession::evaluate(
   ValidationSummary summary = validator_.run(divergent, threads_);
   std::size_t baseline_on_divergent = 0;
   for (const topo::DeviceId device : divergent) {
-    baseline_on_divergent += baseline_by_device_[device].size();
+    baseline_on_divergent += baseline_.violations(device).size();
   }
   result.post_change_violations =
       baseline_total_ - baseline_on_divergent + summary.violations.size();
   for (Violation& violation : summary.violations) {
-    const auto& base = baseline_by_device_[violation.device];
+    const auto& base = baseline_.violations(violation.device);
     if (std::find(base.begin(), base.end(), violation) == base.end()) {
       result.introduced.push_back(std::move(violation));
     }
@@ -219,9 +225,7 @@ std::vector<PrecheckResult> PrecheckSession::check_batch(
   // Roll back the last change so the session is at the baseline again.
   emulated_ = base_;
   simulator_.reconverge();
-  std::vector<topo::DeviceId> candidates = simulator_.take_changed_devices();
-  candidates.insert(candidates.end(), divergent.begin(), divergent.end());
-  (void)candidates;  // all fingerprint-equal again; nothing to retain
+  (void)simulator_.take_changed_devices();  // all baseline-equal again
   return results;
 }
 

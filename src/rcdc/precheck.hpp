@@ -9,6 +9,7 @@
 #include "rcdc/contract.hpp"
 #include "rcdc/fib_source.hpp"
 #include "rcdc/validator.hpp"
+#include "rcdc/verdict_cache.hpp"
 #include "routing/bgp_sim.hpp"
 #include "topology/metadata.hpp"
 #include "topology/topology.hpp"
@@ -157,8 +158,10 @@ class PrecheckSession {
   DatacenterValidator validator_;
 
   std::size_t baseline_total_ = 0;
-  std::vector<std::uint64_t> baseline_fp_;  // per-device FIB fingerprints
-  std::vector<std::vector<Violation>> baseline_by_device_;
+  /// Per-device baseline verdicts: filled once by the cold pass, then only
+  /// read. A device diverges from the baseline exactly when its lookup
+  /// misses.
+  VerdictCache baseline_;
 
   std::uint64_t checks_run_ = 0;
   std::uint64_t devices_revalidated_ = 0;

@@ -70,36 +70,8 @@ DatacenterValidator::DatacenterValidator(const topo::MetadataService& metadata,
     : metadata_(&metadata),
       fibs_(&fibs),
       verifier_factory_(std::move(verifier_factory)),
-      generator_(metadata, options) {
-  if (metrics != nullptr) {
-    fetch_latency_ns_ = &metrics->histogram(
-        "dcv_validator_fetch_latency_ns",
-        "Per-device table acquisition time in batch validation");
-    validate_latency_ns_ = &metrics->histogram(
-        "dcv_validator_validate_latency_ns",
-        "Per-device contract check time in batch validation");
-    devices_fresh_ = &metrics->counter("dcv_validator_devices_total",
-                                       "Devices validated, by pull result",
-                                       {{"result", "fresh"}});
-    devices_stale_ = &metrics->counter("dcv_validator_devices_total",
-                                       "Devices validated, by pull result",
-                                       {{"result", "stale"}});
-    devices_failed_ = &metrics->counter("dcv_validator_devices_total",
-                                        "Devices validated, by pull result",
-                                        {{"result", "failed"}});
-    retries_total_ = &metrics->counter(
-        "dcv_validator_retries_total",
-        "Extra pull attempts beyond the first, summed over devices");
-    breaker_opens_total_ = &metrics->counter(
-        "dcv_validator_breaker_opens_total",
-        "Circuit-breaker open transitions observed during runs");
-    violations_total_ = &metrics->counter("dcv_validator_violations_total",
-                                          "Contract violations found");
-    coverage_ = &metrics->gauge(
-        "dcv_validator_coverage",
-        "Fraction of devices that produced a table in the latest run");
-  }
-}
+      generator_(metadata, options),
+      metrics_(metrics) {}
 
 ValidationSummary DatacenterValidator::run(unsigned threads) const {
   std::vector<topo::DeviceId> devices;
@@ -125,24 +97,15 @@ ValidationSummary DatacenterValidator::run(
   // at worst affect the *next* run.
   const ContractPlanPtr plan = generator_.plan();
 
-  struct WorkerResult {
-    std::size_t contracts_checked = 0;
-    std::size_t devices_failed = 0;
-    std::size_t devices_stale = 0;
-    std::size_t retries = 0;
-    std::size_t breaker_opens = 0;
-    std::size_t violations_degraded = 0;
-    std::vector<Violation> violations;
-  };
-  std::vector<WorkerResult> results(threads);
+  StepTally tally;
+  std::vector<std::vector<Violation>> found(threads);
   std::atomic<std::size_t> next_index{0};
 
   // Each worker claims devices from a shared counter and validates them in
-  // isolation: fetch FIB, generate contracts, check, discard. Nothing
-  // global is ever built, and a failed fetch fails only its own device.
+  // isolation: fetch FIB, check its contracts, discard. Nothing global is
+  // ever built, and a failed fetch fails only its own device.
   const auto worker = [&](unsigned worker_index) {
-    const auto verifier = verifier_factory_();
-    WorkerResult& result = results[worker_index];
+    DeviceStep step(verifier_factory_, tally, metrics_);
     while (true) {
       const std::size_t i =
           next_index.fetch_add(1, std::memory_order_relaxed);
@@ -150,41 +113,15 @@ ValidationSummary DatacenterValidator::run(
       const topo::DeviceId device = devices[i];
       const std::span<const Contract> contracts = plan->contracts_for(device);
       if (contracts.empty()) continue;
-      obs::ScopedTimer fetch_timer(fetch_latency_ns_);
-      FetchOutcome outcome = fibs_->try_fetch(device);
+      obs::ScopedTimer fetch_timer(metrics_.fetch_latency_ns);
+      const FetchOutcome outcome = fibs_->try_fetch(device);
       fetch_timer.stop();
-      if (outcome.attempts > 1) {
-        result.retries += outcome.attempts - 1;
-        if (retries_total_ != nullptr) {
-          retries_total_->inc(outcome.attempts - 1);
-        }
-      }
-      if (outcome.breaker_tripped) {
-        ++result.breaker_opens;
-        if (breaker_opens_total_ != nullptr) breaker_opens_total_->inc();
-      }
-      if (!outcome.has_table()) {
-        ++result.devices_failed;
-        if (devices_failed_ != nullptr) devices_failed_->inc();
-        continue;
-      }
-      if (outcome.stale) {
-        ++result.devices_stale;
-        if (devices_stale_ != nullptr) devices_stale_->inc();
-      } else if (devices_fresh_ != nullptr) {
-        devices_fresh_->inc();
-      }
-      obs::ScopedTimer validate_timer(validate_latency_ns_);
-      auto violations = verifier->check(*outcome.table, contracts, device);
-      validate_timer.stop();
-      if (violations_total_ != nullptr && !violations.empty()) {
-        violations_total_->inc(violations.size());
-      }
-      result.contracts_checked += contracts.size();
-      if (outcome.degraded()) result.violations_degraded += violations.size();
-      result.violations.insert(result.violations.end(),
-                               std::make_move_iterator(violations.begin()),
-                               std::make_move_iterator(violations.end()));
+      if (!step.account(outcome)) continue;
+      std::vector<Violation> violations =
+          step.check(device, contracts, outcome.table, outcome.degraded());
+      found[worker_index].insert(found[worker_index].end(),
+                                 std::make_move_iterator(violations.begin()),
+                                 std::make_move_iterator(violations.end()));
     }
   };
 
@@ -200,17 +137,11 @@ ValidationSummary DatacenterValidator::run(
 
   ValidationSummary summary;
   summary.devices_checked = devices.size();
-  for (WorkerResult& result : results) {
-    summary.contracts_checked += result.contracts_checked;
-    summary.devices_failed += result.devices_failed;
-    summary.devices_stale += result.devices_stale;
-    summary.retries += result.retries;
-    summary.breaker_opens += result.breaker_opens;
-    summary.violations_degraded += result.violations_degraded;
-    summary.violations.insert(
-        summary.violations.end(),
-        std::make_move_iterator(result.violations.begin()),
-        std::make_move_iterator(result.violations.end()));
+  tally.copy_to(summary);
+  for (std::vector<Violation>& violations : found) {
+    summary.violations.insert(summary.violations.end(),
+                              std::make_move_iterator(violations.begin()),
+                              std::make_move_iterator(violations.end()));
   }
   std::sort(summary.violations.begin(), summary.violations.end(),
             [](const Violation& a, const Violation& b) {
@@ -221,7 +152,7 @@ ValidationSummary DatacenterValidator::run(
               return a.rule_prefix < b.rule_prefix;
             });
   summary.elapsed = std::chrono::steady_clock::now() - start;
-  if (coverage_ != nullptr) coverage_->set(summary.coverage());
+  if (metrics_.coverage != nullptr) metrics_.coverage->set(summary.coverage());
   return summary;
 }
 

@@ -2,22 +2,16 @@
 
 #include <chrono>
 #include <cstddef>
-#include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "rcdc/contract_gen.hpp"
+#include "rcdc/device_step.hpp"
 #include "rcdc/fib_source.hpp"
-#include "rcdc/verifier.hpp"
 #include "topology/metadata.hpp"
 
 namespace dcv::rcdc {
-
-/// Creates one verifier per worker thread (verifiers are stateful during a
-/// check and not shared across threads).
-using VerifierFactory = std::function<std::unique_ptr<Verifier>()>;
 
 /// Result of validating a whole datacenter.
 struct ValidationSummary {
@@ -59,9 +53,10 @@ struct ValidationSummary {
 class DatacenterValidator {
  public:
   /// `metrics`, when non-null (must outlive the validator), receives the
-  /// dcv_validator_* series from every run(): fetch/validate latency
-  /// histograms, per-result device counters, coverage, and retry/breaker
-  /// counters.
+  /// per-device step's series (StepMetrics: dcv_pipeline_* fetch/validate
+  /// latency, per-result device, retry, breaker, violation and coverage
+  /// series, plus dcv_incremental_devices_revalidated_total) from every
+  /// run().
   DatacenterValidator(const topo::MetadataService& metadata,
                       const FibSource& fibs, VerifierFactory verifier_factory,
                       ContractGenOptions options = {},
@@ -82,17 +77,7 @@ class DatacenterValidator {
   const FibSource* fibs_;
   VerifierFactory verifier_factory_;
   ContractGenerator generator_;
-
-  // Registry handles; all null when the validator is not instrumented.
-  obs::Histogram* fetch_latency_ns_ = nullptr;
-  obs::Histogram* validate_latency_ns_ = nullptr;
-  obs::Counter* devices_fresh_ = nullptr;
-  obs::Counter* devices_stale_ = nullptr;
-  obs::Counter* devices_failed_ = nullptr;
-  obs::Counter* retries_total_ = nullptr;
-  obs::Counter* breaker_opens_total_ = nullptr;
-  obs::Counter* violations_total_ = nullptr;
-  obs::Gauge* coverage_ = nullptr;
+  StepMetrics metrics_;
 };
 
 /// Convenience factories for the three engines. When `metrics` is non-null

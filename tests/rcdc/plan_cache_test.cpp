@@ -6,8 +6,7 @@
 #include <algorithm>
 
 #include "rcdc/contract_gen.hpp"
-#include "rcdc/incremental.hpp"
-#include "rcdc/validator.hpp"
+#include "rcdc/pipeline.hpp"
 #include "routing/bgp_sim.hpp"
 #include "topology/clos_builder.hpp"
 
@@ -127,23 +126,26 @@ TEST(ContractPlanCache, PlanMatchesForDeviceAndIsTrieWalkOrdered) {
                   .empty());
 }
 
-TEST(ContractPlanCache, IncrementalValidatorRevalidatesAllAfterEpochBump) {
+TEST(ContractPlanCache, IncrementalPipelineRevalidatesAllAfterEpochBump) {
   auto topology = topo::build_figure3();
   topo::MetadataService metadata(topology);
   const routing::BgpSimulator sim(topology);
   const SimulatorFibSource fibs(sim);
 
-  IncrementalValidator incremental(metadata, make_trie_verifier_factory());
-  const auto first = incremental.run_cycle(fibs, 2);
-  EXPECT_EQ(first.devices_revalidated, first.devices_total);
-  const auto second = incremental.run_cycle(fibs, 2);
+  MonitoringPipeline pipeline(metadata, fibs, make_trie_verifier_factory(),
+                              PipelineConfig{.puller_workers = 2,
+                                             .validator_workers = 2,
+                                             .time_scale = 0.0});
+  const auto first = pipeline.run_cycle();
+  EXPECT_EQ(first.devices_revalidated, first.devices);
+  const auto second = pipeline.run_cycle();
   EXPECT_EQ(second.devices_revalidated, 0u);
 
   // Expected-topology change: every cached verdict may now be wrong, so
   // the whole fleet revalidates even though no FIB content changed.
   topology.set_asn(*topology.find_device("ToR1"), topo::Asn{65099});
-  const auto third = incremental.run_cycle(fibs, 2);
-  EXPECT_EQ(third.devices_revalidated, third.devices_total);
+  const auto third = pipeline.run_cycle();
+  EXPECT_EQ(third.devices_revalidated, third.devices);
   EXPECT_EQ(third.violations, second.violations);
 }
 
