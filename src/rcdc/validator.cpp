@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "obs/span.hpp"
@@ -189,6 +191,15 @@ VerifierFactory make_linear_verifier_factory(obs::MetricsRegistry* metrics) {
   return instrumented_factory(metrics, "linear", [](obs::MetricsRegistry*) {
     return std::make_unique<LinearVerifier>();
   });
+}
+
+VerifierFactory make_verifier_factory(std::string_view name,
+                                      obs::MetricsRegistry* metrics) {
+  if (name == "trie") return make_trie_verifier_factory(metrics);
+  if (name == "smt") return make_smt_verifier_factory(metrics);
+  if (name == "linear") return make_linear_verifier_factory(metrics);
+  throw std::invalid_argument("unknown verifier '" + std::string(name) +
+                              "' (want trie, smt or linear)");
 }
 
 }  // namespace dcv::rcdc

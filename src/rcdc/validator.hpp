@@ -1,8 +1,10 @@
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -96,5 +98,14 @@ class DatacenterValidator {
 /// Convenience factory for the linear-scan ablation baseline.
 [[nodiscard]] VerifierFactory make_linear_verifier_factory(
     obs::MetricsRegistry* metrics = nullptr);
+
+/// The engine names make_verifier_factory knows.
+inline constexpr std::array<std::string_view, 3> kVerifierNames = {
+    "trie", "smt", "linear"};
+
+/// The factory of the engine called `name`, one of kVerifierNames; throws
+/// std::invalid_argument for any other name.
+[[nodiscard]] VerifierFactory make_verifier_factory(
+    std::string_view name, obs::MetricsRegistry* metrics = nullptr);
 
 }  // namespace dcv::rcdc

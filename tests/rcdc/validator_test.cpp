@@ -72,6 +72,26 @@ TEST_F(ValidatorTest, SmtFactoryWorksEndToEnd) {
   EXPECT_TRUE(validator.run(2).violations.empty());
 }
 
+TEST_F(ValidatorTest, VerifierFactoryByNameRunsThatEngine) {
+  const auto small = topo::build_figure3();
+  const topo::MetadataService metadata(small);
+  const routing::BgpSimulator sim(small);
+  const SimulatorFibSource fibs(sim);
+  for (const std::string_view name : kVerifierNames) {
+    obs::MetricsRegistry registry;
+    const DatacenterValidator validator(
+        metadata, fibs, make_verifier_factory(name, &registry));
+    EXPECT_TRUE(validator.run(1).violations.empty()) << name;
+    EXPECT_GT(registry
+                  .counter("dcv_verifier_contracts_checked_total", "",
+                           {{"engine", std::string(name)}})
+                  .value(),
+              0u)
+        << name;
+  }
+  EXPECT_THROW((void)make_verifier_factory("foo"), std::invalid_argument);
+}
+
 TEST_F(ValidatorTest, EveryDeviceFaultKindIsDetected) {
   using topo::DeviceFaultKind;
   for (const DeviceFaultKind kind :

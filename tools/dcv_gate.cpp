@@ -10,136 +10,69 @@
 //   GET  /gatez      gate counters; plus /metrics /healthz /readyz
 //
 // Exit 0 on clean shutdown.
-#include <csignal>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 
+#include "cli.hpp"
 #include "gate/gate_service.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry_server.hpp"
 #include "topology/topology_io.hpp"
 
-namespace {
-
-using namespace dcv;
-
-void usage() {
-  std::cerr <<
-      "usage: dcv_gate --topology FILE [options]\n"
-      "  --port N             HTTP port (default 0 = ephemeral; the bound\n"
-      "                       port is printed on startup)\n"
-      "  --threads N          precheck validation threads (default 0 =\n"
-      "                       hardware-aware)\n"
-      "  --batch-window-ms N  precheck coalescing window (default 2)\n"
-      "  --max-batch N        changes per emulator batch (default 16)\n"
-      "  --nsg-engines N      pooled FastEngines for /nsg-check (default 2)\n"
-      "  --http-workers N     handler threads (default 4)\n"
-      "  --http-queue N       admission queue bound; beyond it requests\n"
-      "                       are answered 429 (default 32)\n"
-      "  --max-connections N  open-connection cap (default 64)\n"
-      "  --ready-saturation T /readyz fails above this queue saturation\n"
-      "                       (default 0.9)\n"
-      "  --duration-sec N     serve for N seconds then exit (default 0 =\n"
-      "                       until SIGINT/SIGTERM)\n";
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "dcv_gate: cannot read " << path << "\n";
-    std::exit(1);
-  }
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-volatile std::sig_atomic_t g_stop = 0;
-void on_signal(int) { g_stop = 1; }
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace dcv;
+
   std::string topology_path;
-  std::uint16_t port = 0;
-  unsigned threads = 0;
-  std::uint64_t batch_window_ms = 2;
-  std::size_t max_batch = 16;
-  std::size_t nsg_engines = 2;
-  unsigned http_workers = 4;
-  std::size_t http_queue = 32;
-  std::size_t max_connections = 64;
+  gate::GateConfig gate_config;
+  obs::TelemetryServerConfig server_config;
   double ready_saturation = 0.9;
-  std::uint64_t duration_sec = 0;
+  std::chrono::steady_clock::duration duration{0};
+  cli::parse(
+      "dcv_gate",
+      {
+          cli::text("--topology", "FILE", topology_path,
+                    "production topology file")
+              .require(),
+          cli::count("--port", "PORT", server_config.port,
+                     "HTTP port (default 0 = ephemeral; the bound port is "
+                     "printed on startup)"),
+          cli::count("--threads", "N", gate_config.precheck_threads,
+                     "precheck validation threads (default 0 = "
+                     "hardware-aware)"),
+          cli::duration<std::chrono::milliseconds>(
+              "--batch-window-ms", gate_config.batch_window,
+              "precheck coalescing window (default 2)"),
+          cli::count("--max-batch", "N", gate_config.max_batch,
+                     "changes per emulator batch (default 16)"),
+          cli::count("--nsg-engines", "N", gate_config.nsg_engines,
+                     "pooled FastEngines for /nsg-check (default 2)"),
+          cli::count("--http-workers", "N", server_config.worker_threads,
+                     "handler threads (default 4)"),
+          cli::count("--http-queue", "N", server_config.max_queued_requests,
+                     "admission queue bound; beyond it requests are "
+                     "answered 429 (default 32)"),
+          cli::count("--max-connections", "N", server_config.max_connections,
+                     "open-connection cap (default 64)"),
+          cli::real("--ready-saturation", "T", ready_saturation,
+                    "/readyz fails above this queue saturation (default "
+                    "0.9)"),
+          cli::duration<std::chrono::seconds>(
+              "--duration-sec", duration,
+              "serve for N seconds then exit (default 0 = until "
+              "SIGINT/SIGTERM)"),
+      },
+      argc, argv);
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "dcv_gate: " << flag << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--topology") {
-      topology_path = value();
-    } else if (flag == "--port") {
-      port = static_cast<std::uint16_t>(std::stoul(value()));
-    } else if (flag == "--threads") {
-      threads = static_cast<unsigned>(std::stoul(value()));
-    } else if (flag == "--batch-window-ms") {
-      batch_window_ms = std::stoull(value());
-    } else if (flag == "--max-batch") {
-      max_batch = std::stoull(value());
-    } else if (flag == "--nsg-engines") {
-      nsg_engines = std::stoull(value());
-    } else if (flag == "--http-workers") {
-      http_workers = static_cast<unsigned>(std::stoul(value()));
-    } else if (flag == "--http-queue") {
-      http_queue = std::stoull(value());
-    } else if (flag == "--max-connections") {
-      max_connections = std::stoull(value());
-    } else if (flag == "--ready-saturation") {
-      ready_saturation = std::stod(value());
-    } else if (flag == "--duration-sec") {
-      duration_sec = std::stoull(value());
-    } else if (flag == "--help" || flag == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::cerr << "dcv_gate: unknown flag '" << flag << "'\n";
-      usage();
-      return 2;
-    }
-  }
-  if (topology_path.empty()) {
-    usage();
-    return 2;
-  }
-
-  try {
+  return cli::run([&] {
     const topo::Topology production =
-        topo::parse_topology(slurp(topology_path));
+        topo::parse_topology(cli::read_file(topology_path));
 
     obs::MetricsRegistry registry;
-    gate::GateConfig gate_config;
-    gate_config.precheck_threads = threads;
-    gate_config.batch_window = std::chrono::milliseconds(batch_window_ms);
-    gate_config.max_batch = max_batch;
-    gate_config.nsg_engines = nsg_engines;
     gate_config.metrics = &registry;
     std::cerr << "dcv_gate: building warm precheck session ("
               << production.device_count() << " devices)...\n";
     gate::GateService service(production, gate_config);
 
-    obs::TelemetryServerConfig server_config;
-    server_config.port = port;
-    server_config.worker_threads = http_workers;
-    server_config.max_queued_requests = http_queue;
-    server_config.max_connections = max_connections;
     server_config.http_metrics = &registry;
     server_config.mount = [&service](obs::HttpServer& http) {
       service.attach(http);
@@ -152,27 +85,19 @@ int main(int argc, char** argv) {
         ready_saturation);
     obs::TelemetryServer server(&registry, nullptr, probe, server_config);
 
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGTERM, on_signal);
+    cli::install_stop_handlers();
     std::cout << "dcv_gate: serving /precheck /nsg-check /gatez /metrics "
                  "/healthz /readyz on port "
               << server.port() << "\n";
     std::cout.flush();
 
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(duration_sec);
-    while (!g_stop && (duration_sec == 0 ||
-                       std::chrono::steady_clock::now() < deadline)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
+    cli::pause_for(duration == duration.zero() ? duration.max() : duration);
     server.stop();
     std::cout << "dcv_gate: " << service.prechecks_served() << " prechecks ("
               << service.precheck_batches() << " batches), "
               << service.nsg_checks_served() << " nsg checks"
-              << (g_stop ? " (stopped by signal)" : "") << "\n";
+              << (cli::stop_requested() ? " (stopped by signal)" : "")
+              << "\n";
     return 0;
-  } catch (const std::exception& error) {
-    std::cerr << "dcv_gate: " << error.what() << "\n";
-    return 1;
-  }
+  });
 }

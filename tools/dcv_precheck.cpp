@@ -17,77 +17,43 @@
 // Each `change <description>` opens a change; the following set-asn /
 // shut-link / down-link lines belong to it. Exit 0 iff every change is
 // approved.
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "net/error.hpp"
 #include "rcdc/precheck.hpp"
 #include "rcdc/precheck_io.hpp"
 #include "topology/topology_io.hpp"
 
-namespace {
-
-using namespace dcv;
-
-void usage() {
-  std::cerr << "usage: dcv_precheck --topology FILE --plan FILE [--quiet]\n";
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "dcv_precheck: cannot read " << path << "\n";
-    std::exit(1);
-  }
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace dcv;
+
   std::string topology_path;
   std::string plan_path;
   bool quiet = false;
+  cli::parse("dcv_precheck",
+             {
+                 cli::text("--topology", "FILE", topology_path,
+                           "production topology file")
+                     .require(),
+                 cli::text("--plan", "FILE", plan_path,
+                           "change plan: 'change <description>' lines, "
+                           "each followed by its set-asn / shut-link / "
+                           "down-link lines")
+                     .require(),
+                 cli::toggle("--quiet", quiet,
+                             "print only the verdict line of each change, "
+                             "not the violations it introduces"),
+             },
+             argc, argv);
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "dcv_precheck: " << flag << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--topology") {
-      topology_path = value();
-    } else if (flag == "--plan") {
-      plan_path = value();
-    } else if (flag == "--quiet") {
-      quiet = true;
-    } else if (flag == "--help" || flag == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::cerr << "dcv_precheck: unknown flag '" << flag << "'\n";
-      usage();
-      return 2;
-    }
-  }
-  if (topology_path.empty() || plan_path.empty()) {
-    usage();
-    return 2;
-  }
-
-  try {
+  return cli::run([&] {
     const topo::Topology production =
-        topo::parse_topology(slurp(topology_path));
+        topo::parse_topology(cli::read_file(topology_path));
     const auto plan =
-        rcdc::parse_change_plan(slurp(plan_path), production);
+        rcdc::parse_change_plan(cli::read_file(plan_path), production);
     const rcdc::PrecheckPipeline pipeline(production);
     const auto results = pipeline.check_rollout(plan);
 
@@ -110,8 +76,5 @@ int main(int argc, char** argv) {
       }
     }
     return all_approved ? 0 : 3;
-  } catch (const std::exception& error) {
-    std::cerr << "dcv_precheck: " << error.what() << "\n";
-    return 1;
-  }
+  });
 }

@@ -5,48 +5,15 @@
 // multi-datacenter region) in the dcvalidate topology text format, and
 // optionally the per-device routing tables of the converged fault-free
 // network in the Figure 2 text format.
-#include <charconv>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 
+#include "cli.hpp"
 #include "routing/fib_synthesizer.hpp"
 #include "routing/table_io.hpp"
 #include "topology/clos_builder.hpp"
 #include "topology/topology_io.hpp"
-
-namespace {
-
-void usage() {
-  std::cerr <<
-      "usage: dcv_topogen [options]\n"
-      "  --clusters N            clusters per datacenter (default 4)\n"
-      "  --tors N                ToRs per cluster (default 8)\n"
-      "  --leaves N              leaves per cluster / planes (default 4)\n"
-      "  --spines-per-plane N    spines per plane (default 2)\n"
-      "  --regionals N           regional spines (default 4)\n"
-      "  --prefixes N            hosted prefixes per ToR (default 1)\n"
-      "  --datacenters N         datacenters sharing the regional layer\n"
-      "                          (default 1)\n"
-      "  --out FILE              topology file (default: stdout)\n"
-      "  --tables DIR            also write per-device routing tables\n";
-}
-
-std::uint32_t parse_count(const std::string& value, const char* flag) {
-  std::uint32_t out = 0;
-  const auto [next, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || next != value.data() + value.size() || out == 0) {
-    std::cerr << "dcv_topogen: bad value for " << flag << ": '" << value
-              << "'\n";
-    std::exit(2);
-  }
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dcv;
@@ -59,45 +26,35 @@ int main(int argc, char** argv) {
   std::uint32_t datacenters = 1;
   std::string out_path;
   std::string tables_dir;
+  const auto size = [](std::string name, std::uint32_t& out,
+                       std::string help) {
+    return cli::count(std::move(name), "N", out, std::move(help), 1);
+  };
+  cli::parse(
+      "dcv_topogen",
+      {
+          size("--clusters", params.clusters,
+               "clusters per datacenter (default 4)"),
+          size("--tors", params.tors_per_cluster,
+               "ToRs per cluster (default 8)"),
+          size("--leaves", params.leaves_per_cluster,
+               "leaves per cluster / planes (default 4)"),
+          size("--spines-per-plane", params.spines_per_plane,
+               "spines per plane (default 2)"),
+          size("--regionals", params.regional_spines,
+               "regional spines (default 4)"),
+          size("--prefixes", params.prefixes_per_tor,
+               "hosted prefixes per ToR (default 1)"),
+          size("--datacenters", datacenters,
+               "datacenters sharing the regional layer (default 1)"),
+          cli::text("--out", "FILE", out_path,
+                    "topology file (default: stdout)"),
+          cli::text("--tables", "DIR", tables_dir,
+                    "also write per-device routing tables"),
+      },
+      argc, argv);
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "dcv_topogen: " << flag << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--clusters") {
-      params.clusters = parse_count(value(), "--clusters");
-    } else if (flag == "--tors") {
-      params.tors_per_cluster = parse_count(value(), "--tors");
-    } else if (flag == "--leaves") {
-      params.leaves_per_cluster = parse_count(value(), "--leaves");
-    } else if (flag == "--spines-per-plane") {
-      params.spines_per_plane = parse_count(value(), "--spines-per-plane");
-    } else if (flag == "--regionals") {
-      params.regional_spines = parse_count(value(), "--regionals");
-    } else if (flag == "--prefixes") {
-      params.prefixes_per_tor = parse_count(value(), "--prefixes");
-    } else if (flag == "--datacenters") {
-      datacenters = parse_count(value(), "--datacenters");
-    } else if (flag == "--out") {
-      out_path = value();
-    } else if (flag == "--tables") {
-      tables_dir = value();
-    } else if (flag == "--help" || flag == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::cerr << "dcv_topogen: unknown flag '" << flag << "'\n";
-      usage();
-      return 2;
-    }
-  }
-
-  try {
+  return cli::run([&] {
     const topo::Topology topology =
         datacenters == 1 ? topo::build_clos(params)
                          : topo::build_region(params, datacenters);
@@ -105,12 +62,7 @@ int main(int argc, char** argv) {
     if (out_path.empty()) {
       std::cout << text;
     } else {
-      std::ofstream out(out_path);
-      if (!out) {
-        std::cerr << "dcv_topogen: cannot write " << out_path << "\n";
-        return 1;
-      }
-      out << text;
+      if (!cli::write_file_atomic(out_path, text)) return 1;
       std::cerr << "dcv_topogen: wrote " << topology.device_count()
                 << " devices to " << out_path << "\n";
     }
@@ -120,16 +72,15 @@ int main(int argc, char** argv) {
       const topo::MetadataService metadata(topology);
       const routing::FibSynthesizer synthesizer(metadata);
       for (const topo::Device& device : topology.devices()) {
-        std::ofstream table(std::filesystem::path(tables_dir) /
-                            (device.name + ".rt"));
-        table << routing::write_routing_table(synthesizer.fib(device.id));
+        const auto path =
+            std::filesystem::path(tables_dir) / (device.name + ".rt");
+        const std::string table =
+            routing::write_routing_table(synthesizer.fib(device.id));
+        if (!cli::write_file_atomic(path.string(), table)) return 1;
       }
       std::cerr << "dcv_topogen: wrote " << topology.device_count()
                 << " routing tables to " << tables_dir << "/\n";
     }
-  } catch (const std::exception& error) {
-    std::cerr << "dcv_topogen: " << error.what() << "\n";
-    return 1;
-  }
-  return 0;
+    return 0;
+  });
 }

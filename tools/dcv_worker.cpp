@@ -8,15 +8,11 @@
 // it reconnects with exponential backoff; on kShutdown it exits 0.
 #include <unistd.h>
 
-#include <charconv>
 #include <csignal>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
+#include "cli.hpp"
 #include "dist/transport.hpp"
 #include "dist/worker.hpp"
 #include "obs/export.hpp"
@@ -32,73 +28,13 @@
 
 namespace {
 
-using namespace dcv;
-
-void usage() {
-  std::cerr <<
-      "usage: dcv_worker --connect HOST:PORT --topology FILE [options]\n"
-      "  --tables DIR         per-device routing tables (<name>.rt);\n"
-      "                       default: simulate EBGP over recorded state\n"
-      "  --source sim|synth   table source when --tables is absent:\n"
-      "                       sim (EBGP simulation, default) or synth\n"
-      "                       (O(1)-memory synthesized converged FIBs)\n"
-      "  --verifier V         trie (default), smt, or linear\n"
-      "  --worker-id NAME     identity in coordinator metrics (default\n"
-      "                       w<pid>)\n"
-      "  --fetch-latency-us N simulated per-device pull latency (the\n"
-      "                       paper's 200-800 ms acquisition cost;\n"
-      "                       default 0)\n"
-      "  --time-scale X       scale factor on the simulated latency\n"
-      "                       (default 1.0)\n"
-      "  --reconnect-attempts N   consecutive failed connects before\n"
-      "                       giving up (default 10)\n"
-      "  --reconnect-backoff-ms N initial reconnect backoff, doubled per\n"
-      "                       attempt, capped at 5 s (default 100)\n"
-      "fault injection (per-attempt probabilities, worker-local):\n"
-      "  --flaky-timeout R --flaky-transient R --flaky-truncate R\n"
-      "  --flaky-corrupt R --flaky-unreachable R --flaky-seed N\n"
-      "local telemetry dumps (written once, at exit):\n"
-      "  --metrics-out FILE   dump this worker's metrics registry\n"
-      "  --metrics-format F   prom (default) or json\n"
-      "  --trace-out FILE     dump this worker's own span timeline as a\n"
-      "                       Chrome/Perfetto trace (the coordinator merges\n"
-      "                       the same spans fleet-wide)\n"
-      "  --trace-capacity N   span ring capacity (default 4096)\n"
-      "  --quiet              suppress per-connection log lines\n";
-}
-
-/// Atomic-enough file write: temp file in the same directory, then rename,
-/// so a reader never sees a half-written dump.
-bool write_file_atomic(const std::string& path, std::string_view content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out << content;
-    if (!out) return false;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  return !ec;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "dcv_worker: cannot read " << path << "\n";
-    std::exit(1);
-  }
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-volatile std::sig_atomic_t g_stop = 0;
-void on_signal(int) { g_stop = 1; }
+constexpr std::array<std::string_view, 2> kSources = {"sim", "synth"};
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  using namespace dcv;
+
   std::string connect_spec;
   std::string topology_path;
   std::string tables_dir;
@@ -108,161 +44,91 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   std::string metrics_format = "prom";
   std::string trace_out;
-  std::uint64_t trace_capacity = 4096;
-  std::uint64_t fetch_latency_us = 0;
-  double time_scale = 1.0;
+  std::size_t trace_capacity = 4096;
+  dist::WorkerSessionConfig session_config;
   dist::ReconnectPolicy reconnect;
   rcdc::FlakyConfig flaky;
   bool use_flaky = false;
   bool quiet = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "dcv_worker: " << flag << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    const auto count_value = [&]() -> std::uint64_t {
-      const auto text = value();
-      std::uint64_t n = 0;
-      const auto [ptr, ec] =
-          std::from_chars(text.data(), text.data() + text.size(), n);
-      if (ec != std::errc{} || ptr != text.data() + text.size()) {
-        std::cerr << "dcv_worker: " << flag
-                  << " wants a non-negative integer, got '" << text << "'\n";
-        std::exit(2);
-      }
-      return n;
-    };
-    const auto rate_value = [&] {
-      use_flaky = true;
-      const auto text = value();
-      double rate = 0.0;
-      const auto [ptr, ec] =
-          std::from_chars(text.data(), text.data() + text.size(), rate);
-      if (ec != std::errc{} || ptr != text.data() + text.size() ||
-          rate < 0.0 || rate > 1.0) {
-        std::cerr << "dcv_worker: " << flag << " wants a rate in [0,1]\n";
-        std::exit(2);
-      }
-      return rate;
-    };
-    if (flag == "--connect") {
-      connect_spec = value();
-    } else if (flag == "--topology") {
-      topology_path = value();
-    } else if (flag == "--tables") {
-      tables_dir = value();
-    } else if (flag == "--source") {
-      source_name = value();
-    } else if (flag == "--verifier") {
-      verifier_name = value();
-    } else if (flag == "--worker-id") {
-      worker_id = value();
-    } else if (flag == "--metrics-out") {
-      metrics_out = value();
-    } else if (flag == "--metrics-format") {
-      metrics_format = value();
-      if (metrics_format != "prom" && metrics_format != "json") {
-        std::cerr << "dcv_worker: --metrics-format wants prom or json\n";
-        return 2;
-      }
-    } else if (flag == "--trace-out") {
-      trace_out = value();
-    } else if (flag == "--trace-capacity") {
-      trace_capacity = count_value();
-      if (trace_capacity == 0) {
-        std::cerr << "dcv_worker: --trace-capacity wants a positive count\n";
-        return 2;
-      }
-    } else if (flag == "--fetch-latency-us") {
-      fetch_latency_us = count_value();
-    } else if (flag == "--time-scale") {
-      const auto text = value();
-      const auto [ptr, ec] =
-          std::from_chars(text.data(), text.data() + text.size(), time_scale);
-      if (ec != std::errc{} || ptr != text.data() + text.size() ||
-          time_scale < 0.0) {
-        std::cerr << "dcv_worker: --time-scale wants a non-negative number\n";
-        return 2;
-      }
-    } else if (flag == "--reconnect-attempts") {
-      reconnect.max_attempts = static_cast<std::uint32_t>(count_value());
-    } else if (flag == "--reconnect-backoff-ms") {
-      reconnect.initial_backoff = std::chrono::milliseconds(count_value());
-    } else if (flag == "--flaky-timeout") {
-      flaky.timeout_rate = rate_value();
-    } else if (flag == "--flaky-transient") {
-      flaky.transient_rate = rate_value();
-    } else if (flag == "--flaky-truncate") {
-      flaky.truncate_rate = rate_value();
-    } else if (flag == "--flaky-corrupt") {
-      flaky.corrupt_rate = rate_value();
-    } else if (flag == "--flaky-unreachable") {
-      flaky.unreachable_rate = rate_value();
-    } else if (flag == "--flaky-seed") {
-      flaky.seed = count_value();
-    } else if (flag == "--quiet") {
-      quiet = true;
-    } else if (flag == "--help" || flag == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::cerr << "dcv_worker: unknown flag '" << flag << "'\n";
-      usage();
-      return 2;
-    }
+  std::vector<cli::Flag> flags = {
+      cli::text("--connect", "HOST:PORT", connect_spec,
+                "coordinator address")
+          .require(),
+      cli::text("--topology", "FILE", topology_path,
+                "topology file (the coordinator's)")
+          .require(),
+      cli::text("--tables", "DIR", tables_dir,
+                "per-device routing tables (<name>.rt); default: simulate "
+                "EBGP over recorded state"),
+      cli::choice("--source", "sim|synth", source_name, kSources,
+                  "table source when no tables directory is given: sim "
+                  "(EBGP simulation, default) or synth (O(1)-memory "
+                  "synthesized converged FIBs)"),
+      cli::choice("--verifier", "V", verifier_name, rcdc::kVerifierNames,
+                  "trie (default), smt, or linear"),
+      cli::text("--worker-id", "NAME", worker_id,
+                "identity in coordinator metrics (default w<pid>)"),
+      cli::duration<std::chrono::microseconds>(
+          "--fetch-latency-us", session_config.fetch_latency,
+          "simulated per-device pull latency (the paper's 200-800 ms "
+          "acquisition cost; default 0)"),
+      cli::real("--time-scale", "X", session_config.time_scale,
+                "scale factor on the simulated latency (default 1.0)"),
+      cli::count("--reconnect-attempts", "N", reconnect.max_attempts,
+                 "consecutive failed connects before giving up (default "
+                 "10)"),
+      cli::duration<std::chrono::milliseconds>(
+          "--reconnect-backoff-ms", reconnect.initial_backoff,
+          "initial reconnect backoff, doubled per attempt, capped at 5 s "
+          "(default 100)"),
+      cli::toggle("--quiet", quiet, "suppress per-connection log lines"),
+      cli::section("local telemetry dumps (written once, at exit):"),
+      cli::text("--metrics-out", "FILE", metrics_out,
+                "dump this worker's metrics registry"),
+      cli::choice("--metrics-format", "F", metrics_format,
+                  cli::kMetricsFormats, "prom (default) or json"),
+      cli::text("--trace-out", "FILE", trace_out,
+                "dump this worker's own span timeline as a Chrome/Perfetto "
+                "trace (the coordinator merges the same spans fleet-wide)"),
+      cli::count("--trace-capacity", "N", trace_capacity,
+                 "span ring capacity (default 4096)", 1),
+  };
+  for (cli::Flag& flag : cli::flaky_flags(flaky, use_flaky)) {
+    flags.push_back(std::move(flag));
   }
+  cli::parse("dcv_worker", flags, argc, argv);
   const auto colon = connect_spec.rfind(':');
-  if (topology_path.empty() || connect_spec.empty() ||
-      colon == std::string::npos) {
-    usage();
-    return 2;
+  const auto port =
+      colon == std::string::npos
+          ? std::nullopt
+          : cli::parse_unsigned(
+                std::string_view(connect_spec).substr(colon + 1), 1, 65535);
+  if (!port) {
+    cli::usage_error("coordinator address '" + connect_spec +
+                     "' wants HOST:PORT with a port in [1, 65535]");
   }
   const std::string host = connect_spec.substr(0, colon);
-  std::uint16_t port = 0;
-  {
-    const std::string text = connect_spec.substr(colon + 1);
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), port);
-    if (ec != std::errc{} || ptr != text.data() + text.size() || port == 0) {
-      std::cerr << "dcv_worker: bad port in '" << connect_spec << "'\n";
-      return 2;
-    }
-  }
-  if (worker_id.empty()) {
-    worker_id = "w" + std::to_string(::getpid());
-  }
+  if (worker_id.empty()) worker_id = "w" + std::to_string(::getpid());
 
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
+  cli::install_stop_handlers();
   std::signal(SIGPIPE, SIG_IGN);
 
-  try {
-    const topo::Topology topology = topo::parse_topology(slurp(topology_path));
+  return cli::run([&] {
+    const topo::Topology topology =
+        topo::parse_topology(cli::read_file(topology_path));
     const topo::MetadataService metadata(topology);
     obs::MetricsRegistry registry;
     std::unique_ptr<obs::TraceRing> trace;
     if (!trace_out.empty()) {
-      trace = std::make_unique<obs::TraceRing>(
-          static_cast<std::size_t>(trace_capacity));
+      trace = std::make_unique<obs::TraceRing>(trace_capacity);
       trace->attach_metrics(registry);
     }
     const auto dump_telemetry = [&] {
       if (!metrics_out.empty()) {
-        const std::string body = metrics_format == "json"
-                                     ? obs::write_json(registry)
-                                     : obs::write_prometheus(registry);
-        if (!write_file_atomic(metrics_out, body)) {
-          std::cerr << "dcv_worker: cannot write " << metrics_out << "\n";
-        }
+        cli::write_metrics(registry, metrics_out, metrics_format);
       }
-      if (trace != nullptr &&
-          !write_file_atomic(trace_out, obs::write_chrome_trace(*trace))) {
-        std::cerr << "dcv_worker: cannot write " << trace_out << "\n";
+      if (trace != nullptr) {
+        cli::write_file_atomic(trace_out, obs::write_chrome_trace(*trace));
       }
     };
 
@@ -274,13 +140,9 @@ int main(int argc, char** argv) {
     } else if (source_name == "synth") {
       synthesizer = std::make_unique<routing::FibSynthesizer>(metadata);
       fibs = std::make_unique<rcdc::SynthesizedFibSource>(*synthesizer);
-    } else if (source_name == "sim") {
+    } else {
       simulator = std::make_unique<routing::BgpSimulator>(topology);
       fibs = std::make_unique<rcdc::SimulatorFibSource>(*simulator);
-    } else {
-      std::cerr << "dcv_worker: --source wants sim or synth, got '"
-                << source_name << "'\n";
-      return 2;
     }
     std::unique_ptr<rcdc::FlakyFibSource> flaky_source;
     const rcdc::FibSource* active = fibs.get();
@@ -289,27 +151,20 @@ int main(int argc, char** argv) {
       active = flaky_source.get();
     }
 
-    const rcdc::VerifierFactory factory =
-        verifier_name == "smt"      ? rcdc::make_smt_verifier_factory(&registry)
-        : verifier_name == "linear" ? rcdc::make_linear_verifier_factory(
-                                          &registry)
-                                    : rcdc::make_trie_verifier_factory(
-                                          &registry);
-
-    dist::WorkerSessionConfig session_config;
     session_config.id = worker_id;
     session_config.topology_epoch = topology.epoch();
-    session_config.fetch_latency = std::chrono::microseconds(fetch_latency_us);
-    session_config.time_scale = time_scale;
     session_config.metrics = &registry;
     session_config.trace = trace.get();
-    dist::WorkerSession session(*active, factory, session_config);
+    dist::WorkerSession session(
+        *active, rcdc::make_verifier_factory(verifier_name, &registry),
+        session_config);
 
     rcdc::SystemFetchClock clock;
     std::uint32_t failed_connects = 0;
-    while (g_stop == 0) {
+    while (!cli::stop_requested()) {
       auto transport =
-          dist::connect_tcp(host, port, std::chrono::milliseconds(3000));
+          dist::connect_tcp(host, static_cast<std::uint16_t>(*port),
+                          std::chrono::milliseconds(3000));
       if (transport == nullptr) {
         ++failed_connects;
         if (failed_connects >= reconnect.max_attempts) {
@@ -350,8 +205,5 @@ int main(int argc, char** argv) {
     }
     dump_telemetry();
     return 0;
-  } catch (const std::exception& error) {
-    std::cerr << "dcv_worker: " << error.what() << "\n";
-    return 1;
-  }
+  });
 }

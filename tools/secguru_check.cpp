@@ -5,11 +5,11 @@
 // reads a contract suite, and reports every failed invariant with its
 // witness packet and the violating rule. Exit status 0 iff all contracts
 // hold — ready to gate a deployment pipeline (§3.3/§3.5).
-#include <fstream>
 #include <iostream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 
+#include "cli.hpp"
 #include "secguru/acl_parser.hpp"
 #include "secguru/contracts_io.hpp"
 #include "secguru/device_config.hpp"
@@ -17,37 +17,8 @@
 #include "secguru/fast_engine.hpp"
 #include "secguru/nsg.hpp"
 
-namespace {
-
-void usage() {
-  std::cerr <<
-      "usage: secguru_check --policy FILE --contracts FILE [options]\n"
-      "       secguru_check --config FILE --acl NAME --contracts FILE\n"
-      "  --config FILE     read a full device configuration and analyze\n"
-      "                    the ACL named by --acl (the SS3.2 interface)\n"
-      "  --nsg             parse the policy as an NSG table (Figure 9\n"
-      "                    format) instead of a Cisco-style ACL\n"
-      "  --deny-overrides  use deny-overrides semantics (host firewalls)\n"
-      "  --shadowed        also report redundant rules\n"
-      "  --smt-only        skip the interval fast path, use Z3 for every\n"
-      "                    contract (the pre-fast-path behavior)\n"
-      "  --quiet           print only the summary line\n";
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "secguru_check: cannot read " << path << "\n";
-    std::exit(1);
-  }
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace dcv;
   using namespace dcv::secguru;
 
   std::string policy_path;
@@ -59,70 +30,61 @@ int main(int argc, char** argv) {
   bool report_shadowed = false;
   bool smt_only = false;
   bool quiet = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "secguru_check: " << flag << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--policy") {
-      policy_path = value();
-    } else if (flag == "--config") {
-      config_path = value();
-    } else if (flag == "--acl") {
-      acl_name = value();
-    } else if (flag == "--contracts") {
-      contracts_path = value();
-    } else if (flag == "--nsg") {
-      as_nsg = true;
-    } else if (flag == "--deny-overrides") {
-      deny_overrides = true;
-    } else if (flag == "--shadowed") {
-      report_shadowed = true;
-    } else if (flag == "--smt-only") {
-      smt_only = true;
-    } else if (flag == "--quiet") {
-      quiet = true;
-    } else if (flag == "--help" || flag == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::cerr << "secguru_check: unknown flag '" << flag << "'\n";
-      usage();
-      return 2;
-    }
-  }
-  if ((policy_path.empty() == config_path.empty()) ||
-      contracts_path.empty() || (!config_path.empty() && acl_name.empty())) {
-    usage();
-    return 2;
+  cli::parse(
+      "secguru_check",
+      {
+          cli::text("--contracts", "FILE", contracts_path,
+                    "contract suite to check the policy against")
+              .require(),
+          cli::text("--policy", "FILE", policy_path,
+                    "the policy to check: a Cisco-style ACL (Figure 8)"),
+          cli::text("--config", "FILE", config_path,
+                    "instead of a policy file, read a full device "
+                    "configuration and analyze one of its ACLs (the SS3.2 "
+                    "interface)"),
+          cli::text("--acl", "NAME", acl_name,
+                    "the ACL to analyze in that configuration"),
+          cli::toggle("--nsg", as_nsg,
+                      "parse the policy as an NSG table (Figure 9 format) "
+                      "instead of a Cisco-style ACL"),
+          cli::toggle("--deny-overrides", deny_overrides,
+                      "use deny-overrides semantics (host firewalls)"),
+          cli::toggle("--shadowed", report_shadowed,
+                      "also report redundant rules"),
+          cli::toggle("--smt-only", smt_only,
+                      "skip the interval fast path, use Z3 for every "
+                      "contract (the pre-fast-path behavior)"),
+          cli::toggle("--quiet", quiet, "print only the summary line"),
+      },
+      argc, argv);
+  if (policy_path.empty() == config_path.empty() ||
+      (!config_path.empty() && acl_name.empty())) {
+    cli::usage_error(
+        "needs exactly one policy: a policy file, or a device "
+        "configuration with the name of its ACL (see --help)");
   }
 
-  try {
+  return cli::run([&] {
     Policy policy;
     if (!config_path.empty()) {
       // The production interface (§3.2): a device configuration plus the
       // name of the ACL to analyze.
-      const DeviceConfig config = parse_device_config(slurp(config_path));
+      const DeviceConfig config =
+          parse_device_config(cli::read_file(config_path));
       const Policy* named = config.find_acl(acl_name);
       if (named == nullptr) {
-        std::cerr << "secguru_check: no ACL '" << acl_name << "' in "
-                  << config_path << "\n";
-        return 1;
+        throw std::runtime_error("no ACL '" + acl_name + "' in " +
+                                 config_path);
       }
       policy = *named;
     } else {
-      policy = as_nsg
-                   ? parse_nsg(slurp(policy_path), policy_path).to_policy()
-                   : parse_acl(slurp(policy_path), policy_path);
+      const std::string text = cli::read_file(policy_path);
+      policy = as_nsg ? parse_nsg(text, policy_path).to_policy()
+                      : parse_acl(text, policy_path);
     }
     if (deny_overrides) policy.semantics = PolicySemantics::kDenyOverrides;
     const ContractSuite suite =
-        parse_contracts(slurp(contracts_path), contracts_path);
+        parse_contracts(cli::read_file(contracts_path), contracts_path);
 
     Engine engine;
     FastEngine fast_engine;
@@ -148,8 +110,5 @@ int main(int argc, char** argv) {
               << report.contracts_checked << " contracts, "
               << report.failures.size() << " failed\n";
     return report.ok() ? 0 : 3;
-  } catch (const std::exception& error) {
-    std::cerr << "secguru_check: " << error.what() << "\n";
-    return 1;
-  }
+  });
 }
