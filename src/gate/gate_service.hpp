@@ -20,7 +20,8 @@
 namespace dcv::gate {
 
 struct GateConfig {
-  /// Validation threads per precheck batch; 0 = hardware-aware default.
+  /// Emulator and validation threads per precheck batch; 0 =
+  /// exec::default_threads().
   unsigned precheck_threads = 0;
   /// Coalescing window: a precheck arriving while no batch is running
   /// waits this long for same-epoch companions before the emulator pass

@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/executor.hpp"
 #include "obs/span.hpp"
 #include "rcdc/notification_queue.hpp"
 
@@ -116,10 +117,9 @@ PipelineStats MonitoringPipeline::run_cycle() {
   // Stage 2 — routing-table puller: fetch each device's table (with the
   // production fetch latency, scaled) and post a notification. A failed
   // fetch costs the cycle coverage, never the cycle.
-  const auto puller = [&](unsigned worker) {
-    const obs::CycleScope cycle_tag(cycle_id);
+  const auto puller = [&](unsigned puller_index) {
     DeviceStep step(verifier_factory_, tally, step_metrics);
-    std::mt19937_64 rng(config_.seed * 1315423911u + worker);
+    std::mt19937_64 rng(config_.seed * 1315423911u + puller_index);
     std::uniform_int_distribution<std::int64_t> latency_us(
         config_.fetch_latency_min.count(), config_.fetch_latency_max.count());
     while (true) {
@@ -147,10 +147,12 @@ PipelineStats MonitoringPipeline::run_cycle() {
         metrics.fetch_sim_ns->observe(simulated_ns);
       }
       obs::ScopedTimer push_timer(metrics.queue_push_block_ns);
-      queue.push(Notification{.device = devices[i],
-                              .pull = std::move(pull),
-                              .enqueued_at = std::chrono::steady_clock::now()});
+      const bool posted = queue.push(
+          Notification{.device = devices[i],
+                       .pull = std::move(pull),
+                       .enqueued_at = std::chrono::steady_clock::now()});
       push_timer.stop();
+      if (!posted) break;  // closed early: a validator failed
       const std::size_t depth = queue.size();
       live_queue_depth_.store(depth, std::memory_order_relaxed);
       if (metrics.queue_depth != nullptr) {
@@ -164,7 +166,6 @@ PipelineStats MonitoringPipeline::run_cycle() {
   // Replayed violations flow through the same risk/alert path as fresh
   // ones, with the current pull's degraded flag.
   const auto validator = [&] {
-    const obs::CycleScope cycle_tag(cycle_id);
     DeviceStep step(verifier_factory_, tally, step_metrics, cache,
                     config_.trace);
     while (true) {
@@ -199,21 +200,30 @@ PipelineStats MonitoringPipeline::run_cycle() {
     }
   };
 
-  {
-    std::vector<std::jthread> validators;
-    validators.reserve(config_.validator_workers);
-    for (unsigned w = 0; w < std::max(1u, config_.validator_workers); ++w) {
-      validators.emplace_back(validator);
+  // Worker 0, the caller, only waits: each stage worker runs on a thread of
+  // its own, where its spans are roots. Workers [1, V] validate, the rest
+  // pull. The last puller out closes the queue, normally or by exception,
+  // so the validators drain it and return. A validator closes it on its way
+  // out too: a no-op after a drained queue, and after a failure it stops
+  // the pullers' pushes.
+  const unsigned validators = std::max(1u, config_.validator_workers);
+  const unsigned pullers = std::max(1u, config_.puller_workers);
+  std::atomic<unsigned> pullers_left{pullers};
+  exec::run(1 + validators + pullers, [&](unsigned worker) {
+    if (worker == 0) return;
+    const obs::CycleScope cycle_tag(cycle_id);
+    const bool validates = worker <= validators;
+    const auto leave = [&] {
+      if (validates || --pullers_left == 0) queue.close();
+    };
+    try {
+      validates ? validator() : puller(worker - 1 - validators);
+    } catch (...) {
+      leave();
+      throw;
     }
-    {
-      std::vector<std::jthread> pullers;
-      pullers.reserve(config_.puller_workers);
-      for (unsigned w = 0; w < std::max(1u, config_.puller_workers); ++w) {
-        pullers.emplace_back(puller, w);
-      }
-    }  // pullers joined: every notification has been posted
-    queue.close();
-  }  // validators joined: queue drained
+    leave();
+  });
 
   tally.copy_to(stats);
   stats.violations = tally.violations.load();

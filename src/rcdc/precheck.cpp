@@ -1,9 +1,9 @@
 #include "rcdc/precheck.hpp"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
+#include "exec/executor.hpp"
 #include "rcdc/trie_verifier.hpp"
 
 namespace dcv::rcdc {
@@ -27,13 +27,6 @@ NetworkChange shut_links(std::string description,
       }};
 }
 
-unsigned resolve_precheck_threads(unsigned configured) {
-  if (configured != 0) return configured;
-  // Same hardware-aware clamp as the simulator's worker pool; the
-  // validator additionally clamps to the device count per run.
-  return std::clamp(std::thread::hardware_concurrency(), 1u, 16u);
-}
-
 namespace {
 
 std::vector<Violation> validate_emulated(const routing::BgpSimulator& simulator,
@@ -51,7 +44,7 @@ std::vector<Violation> validate_emulated(const routing::BgpSimulator& simulator,
 PrecheckResult PrecheckPipeline::check(const NetworkChange& change) const {
   PrecheckResult result;
   result.description = change.description;
-  const unsigned threads = resolve_precheck_threads(threads_);
+  const unsigned threads = exec::default_threads(threads_);
 
   // Intent derives from the production architecture; the emulator clone
   // carries the production state including any current drift.
@@ -61,7 +54,8 @@ PrecheckResult PrecheckPipeline::check(const NetworkChange& change) const {
   // One simulator across the before/after comparison: applying the change
   // and warm-starting reconvergence from the touched devices is the
   // emulation analogue of pushing a change into a converged network.
-  routing::BgpSimulator simulator(emulated);
+  routing::BgpSimulator simulator(emulated, nullptr, nullptr,
+                                  {.threads = threads});
   const auto baseline = validate_emulated(simulator, intent, options_, threads);
   result.baseline_violations = baseline.size();
 
@@ -94,12 +88,12 @@ std::vector<PrecheckResult> PrecheckPipeline::check_rollout(
 PrecheckSession::PrecheckSession(const topo::Topology& production,
                                  ContractGenOptions options, unsigned threads)
     : options_(options),
-      threads_(resolve_precheck_threads(threads)),
+      threads_(exec::default_threads(threads)),
       base_epoch_(production.epoch()),
       base_(production),
       emulated_(production),
       intent_(base_),
-      simulator_(emulated_),
+      simulator_(emulated_, nullptr, nullptr, {.threads = threads_}),
       fibs_(simulator_),
       validator_(intent_, fibs_, make_trie_verifier_factory(), options_) {
   // The one cold pass: converge (done by the simulator constructor),

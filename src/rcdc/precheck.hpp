@@ -48,10 +48,6 @@ struct PrecheckResult {
   std::vector<Violation> introduced;
 };
 
-/// Validation threads used when `configured` is 0: hardware-aware,
-/// clamped like the other worker pools.
-[[nodiscard]] unsigned resolve_precheck_threads(unsigned configured);
-
 /// The §2.7 pre-check workflow (Figure 7): "To prevent a large class of
 /// faulty updates from entering in the first place Azure uses a
 /// high-fidelity network emulator. It runs a full stack of virtualized
@@ -70,7 +66,8 @@ class PrecheckPipeline {
  public:
   /// `production` is cloned per check; contracts always derive from the
   /// *expected* architecture, i.e. the unmodified metadata. `threads`
-  /// bounds validation parallelism; 0 picks a hardware-aware default.
+  /// bounds the emulator's and the validation's parallelism; 0 picks
+  /// exec::default_threads().
   explicit PrecheckPipeline(const topo::Topology& production,
                             ContractGenOptions options = {},
                             unsigned threads = 0)
@@ -111,6 +108,8 @@ class PrecheckPipeline {
 /// serialized — the change-gate batcher does exactly that).
 class PrecheckSession {
  public:
+  /// `threads` bounds the emulator's and the validation's parallelism, as
+  /// in PrecheckPipeline.
   explicit PrecheckSession(const topo::Topology& production,
                            ContractGenOptions options = {},
                            unsigned threads = 0);

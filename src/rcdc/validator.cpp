@@ -1,11 +1,11 @@
 #include "rcdc/validator.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
+#include "exec/executor.hpp"
 #include "obs/span.hpp"
 #include "rcdc/linear_verifier.hpp"
 #include "rcdc/smt_verifier.hpp"
@@ -87,12 +87,6 @@ ValidationSummary DatacenterValidator::run(unsigned threads) const {
 ValidationSummary DatacenterValidator::run(
     std::span<const topo::DeviceId> devices, unsigned threads) const {
   const auto start = std::chrono::steady_clock::now();
-  // Clamp the pool to the work available: spawning more workers than
-  // devices just burns thread startup for threads that immediately find the
-  // shared counter exhausted.
-  threads = std::clamp(threads, 1u,
-                       static_cast<unsigned>(std::max<std::size_t>(
-                           1, devices.size())));
 
   // One immutable plan pointer for the whole run: every worker reads the
   // same precompiled contract spans, and a concurrent topology change can
@@ -100,42 +94,25 @@ ValidationSummary DatacenterValidator::run(
   const ContractPlanPtr plan = generator_.plan();
 
   StepTally tally;
-  std::vector<std::vector<Violation>> found(threads);
-  std::atomic<std::size_t> next_index{0};
+  std::vector<std::optional<DeviceStep>> steps(std::max(1u, threads));
+  std::vector<std::vector<Violation>> found(devices.size());
 
-  // Each worker claims devices from a shared counter and validates them in
-  // isolation: fetch FIB, check its contracts, discard. Nothing global is
-  // ever built, and a failed fetch fails only its own device.
-  const auto worker = [&](unsigned worker_index) {
-    DeviceStep step(verifier_factory_, tally, metrics_);
-    while (true) {
-      const std::size_t i =
-          next_index.fetch_add(1, std::memory_order_relaxed);
-      if (i >= devices.size()) break;
-      const topo::DeviceId device = devices[i];
-      const std::span<const Contract> contracts = plan->contracts_for(device);
-      if (contracts.empty()) continue;
-      obs::ScopedTimer fetch_timer(metrics_.fetch_latency_ns);
-      const FetchOutcome outcome = fibs_->try_fetch(device);
-      fetch_timer.stop();
-      if (!step.account(outcome)) continue;
-      std::vector<Violation> violations =
-          step.check(device, contracts, outcome.table, outcome.degraded());
-      found[worker_index].insert(found[worker_index].end(),
-                                 std::make_move_iterator(violations.begin()),
-                                 std::make_move_iterator(violations.end()));
-    }
-  };
-
-  if (threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::jthread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-      pool.emplace_back(worker, t);
-    }
-  }
+  // Each device is validated in isolation: fetch FIB, check its contracts,
+  // discard. Nothing global is ever built, and a failed fetch fails only
+  // its own device.
+  exec::for_each(threads, devices.size(), [&](unsigned worker, std::size_t i) {
+    const topo::DeviceId device = devices[i];
+    const std::span<const Contract> contracts = plan->contracts_for(device);
+    if (contracts.empty()) return;
+    std::optional<DeviceStep>& step = steps[worker];
+    if (!step) step.emplace(verifier_factory_, tally, metrics_);
+    obs::ScopedTimer fetch_timer(metrics_.fetch_latency_ns);
+    const FetchOutcome outcome = fibs_->try_fetch(device);
+    fetch_timer.stop();
+    if (!step->account(outcome)) return;
+    found[i] =
+        step->check(device, contracts, outcome.table, outcome.degraded());
+  });
 
   ValidationSummary summary;
   summary.devices_checked = devices.size();

@@ -1,12 +1,9 @@
 #include "routing/bgp_sim.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <functional>
-#include <thread>
 #include <unordered_map>
 
+#include "exec/executor.hpp"
 #include "net/error.hpp"
 
 namespace dcv::routing {
@@ -110,7 +107,7 @@ ForwardingTable program_fib(const Rib& rib, const topo::FaultInjector* faults,
 }
 
 // ---------------------------------------------------------------------------
-// Worker state and pool
+// Worker state
 
 struct BgpSimulator::WorkerState {
   std::vector<Candidate> candidates;
@@ -127,69 +124,6 @@ struct BgpSimulator::WorkerState {
   std::uint64_t routes_propagated = 0;
 };
 
-/// A persistent pool: N-1 spawned threads plus the calling thread. run()
-/// is a barrier — it returns only after every worker finished the job, so
-/// frontier results published by workers are visible to the committing
-/// thread through the pool mutex.
-struct BgpSimulator::WorkerPool {
-  explicit WorkerPool(unsigned workers) {
-    for (unsigned t = 1; t < workers; ++t) {
-      threads_.emplace_back([this, t] { loop(t); });
-    }
-  }
-
-  ~WorkerPool() {
-    {
-      const std::lock_guard lock(mutex_);
-      stop_ = true;
-    }
-    wake_.notify_all();
-  }
-
-  void run(const std::function<void(unsigned)>& job) {
-    {
-      const std::lock_guard lock(mutex_);
-      job_ = &job;
-      ++generation_;
-      pending_ = threads_.size();
-    }
-    wake_.notify_all();
-    job(0);
-    std::unique_lock lock(mutex_);
-    done_.wait(lock, [&] { return pending_ == 0; });
-    job_ = nullptr;
-  }
-
- private:
-  void loop(unsigned id) {
-    std::uint64_t seen = 0;
-    while (true) {
-      const std::function<void(unsigned)>* job = nullptr;
-      {
-        std::unique_lock lock(mutex_);
-        wake_.wait(lock, [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        job = job_;
-      }
-      (*job)(id);
-      {
-        const std::lock_guard lock(mutex_);
-        if (--pending_ == 0) done_.notify_one();
-      }
-    }
-  }
-
-  std::mutex mutex_;
-  std::condition_variable wake_;
-  std::condition_variable done_;
-  const std::function<void(unsigned)>* job_ = nullptr;
-  std::uint64_t generation_ = 0;
-  std::size_t pending_ = 0;
-  bool stop_ = false;
-  std::vector<std::jthread> threads_;
-};
-
 // ---------------------------------------------------------------------------
 // BgpSimulator
 
@@ -201,10 +135,7 @@ BgpSimulator::BgpSimulator(const topo::Topology& topology,
       faults_(faults),
       metrics_(metrics),
       options_(options) {
-  if (options_.threads == 0) {
-    options_.threads =
-        std::clamp(std::thread::hardware_concurrency(), 1u, 16u);
-  }
+  options_.threads = exec::default_threads(options_.threads);
   workers_.reserve(options_.threads);
   for (unsigned t = 0; t < options_.threads; ++t) {
     workers_.push_back(std::make_unique<WorkerState>());
@@ -446,28 +377,15 @@ int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
     changed.assign(frontier.size(), 0);
     const std::vector<net::Prefix>* round_dirty = seed_round ? nullptr : &dirty;
 
-    std::atomic<std::size_t> cursor{0};
-    const auto job = [&](unsigned worker) {
-      WorkerState& state = *workers_[worker];
-      while (true) {
-        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= frontier.size()) break;
-        changed[i] = process_device(devices[frontier[i]], state, results[i],
-                                    round_dirty)
-                         ? 1
-                         : 0;
-      }
-    };
-    if (workers_.size() > 1 &&
-        frontier.size() >= options_.parallel_threshold) {
-      if (pool_ == nullptr) {
-        pool_ = std::make_unique<WorkerPool>(
-            static_cast<unsigned>(workers_.size()));
-      }
-      pool_->run(job);
-    } else {
-      job(0);
-    }
+    const bool split = frontier.size() >= options_.parallel_threshold;
+    exec::for_each(
+        split ? static_cast<unsigned>(workers_.size()) : 1u, frontier.size(),
+        [&](unsigned worker, std::size_t i) {
+          changed[i] = process_device(devices[frontier[i]], *workers_[worker],
+                                      results[i], round_dirty)
+                           ? 1
+                           : 0;
+        });
 
     // Commit changed results: splice partial (dirty-only) results over the
     // previous state, record which prefixes changed for the next round's

@@ -303,7 +303,6 @@ class BgpSimulator {
 
  private:
   struct WorkerState;
-  struct WorkerPool;
 
   void cold_run();
   /// Runs the worklist to a fixpoint from the given seed frontier;
@@ -344,11 +343,9 @@ class BgpSimulator {
   obs::Counter* fib_rebuilds_ = nullptr;
   obs::Counter* fib_hits_ = nullptr;
 
-  // Per-worker scratch (candidate buffers, rewrite memos); index 0 doubles
-  // as the inline/single-thread state. The pool is created lazily on the
-  // first frontier large enough to split.
+  // Per-worker scratch (candidate buffers, rewrite memos), indexed by the
+  // executor's worker index; index 0 doubles as the inline state.
   std::vector<std::unique_ptr<WorkerState>> workers_;
-  std::unique_ptr<WorkerPool> pool_;
 
   // Commit-side scratch Rib recycled across partial merges so steady-state
   // commits stop allocating (single-threaded use only).

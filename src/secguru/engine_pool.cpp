@@ -48,7 +48,7 @@ void FastEnginePool::release(std::size_t slot) {
 }
 
 FastEnginePool::Lease::~Lease() {
-  if (pool_ != nullptr) pool_->release(slot_);
+  if (owner_ != nullptr) owner_->release(slot_);
 }
 
 }  // namespace dcv::secguru

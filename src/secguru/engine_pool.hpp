@@ -32,8 +32,8 @@ class FastEnginePool {
   class Lease {
    public:
     Lease(Lease&& other) noexcept
-        : pool_(other.pool_), engine_(other.engine_), slot_(other.slot_) {
-      other.pool_ = nullptr;
+        : owner_(other.owner_), engine_(other.engine_), slot_(other.slot_) {
+      other.owner_ = nullptr;
       other.engine_ = nullptr;
     }
     Lease& operator=(Lease&&) = delete;
@@ -47,9 +47,9 @@ class FastEnginePool {
    private:
     friend class FastEnginePool;
     Lease(FastEnginePool* pool, FastEngine* engine, std::size_t slot)
-        : pool_(pool), engine_(engine), slot_(slot) {}
+        : owner_(pool), engine_(engine), slot_(slot) {}
 
-    FastEnginePool* pool_;
+    FastEnginePool* owner_;
     FastEngine* engine_;
     std::size_t slot_;
   };

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
+
+#include "exec/executor.hpp"
 
 namespace dcv::secguru {
 
@@ -291,14 +292,10 @@ FastEngine::FastEngine(FastEngineConfig config, obs::MetricsRegistry* metrics)
 
 FastEngine::~FastEngine() = default;
 
-void FastEngine::ensure_pool(std::size_t slots) {
-  if (pool_.size() < slots) pool_.resize(slots);
-}
-
 Engine& FastEngine::fallback_engine(std::size_t slot) {
-  // The pool vector is sized before workers start; each slot is owned by
+  // The slot vector is sized before workers start; each slot is owned by
   // exactly one worker, so lazy creation here is race-free.
-  auto& engine = pool_[slot];
+  auto& engine = fallbacks_[slot];
   if (!engine) engine = std::make_unique<Engine>();
   return *engine;
 }
@@ -354,7 +351,7 @@ ContractCheckResult FastEngine::check_one(const Policy& policy,
 
 ContractCheckResult FastEngine::check(const Policy& policy,
                                       const ConnectivityContract& contract) {
-  ensure_pool(1);
+  if (fallbacks_.empty()) fallbacks_.resize(1);
   return check_one(policy, contract, 0);
 }
 
@@ -365,34 +362,15 @@ PolicyReport FastEngine::check_suite(const Policy& policy,
   report.policy_name = policy.name;
   report.contracts_checked = suite.contracts.size();
   const std::size_t n = suite.contracts.size();
-  if (n == 0) return report;
-  const unsigned workers = std::max(
-      1u, std::min<unsigned>(threads, static_cast<unsigned>(n)));
-  ensure_pool(workers);
+  // One fallback slot per worker index exec::for_each can hand out.
+  const std::size_t slots = std::min<std::size_t>(std::max(1u, threads), n);
+  if (fallbacks_.size() < slots) fallbacks_.resize(slots);
 
   std::vector<std::optional<ContractCheckResult>> failures(n);
-  if (workers == 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      auto result = check_one(policy, suite.contracts[i], 0);
-      if (!result.holds) failures[i] = std::move(result);
-    }
-  } else {
-    std::atomic<std::size_t> next{0};
-    const auto worker = [&](std::size_t slot) {
-      while (true) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) break;
-        auto result = check_one(policy, suite.contracts[i], slot);
-        if (!result.holds) failures[i] = std::move(result);
-      }
-    };
-    {
-      std::vector<std::jthread> pool;
-      pool.reserve(workers - 1);
-      for (unsigned t = 1; t < workers; ++t) pool.emplace_back(worker, t);
-      worker(0);
-    }
-  }
+  exec::for_each(threads, n, [&](unsigned worker, std::size_t i) {
+    auto result = check_one(policy, suite.contracts[i], worker);
+    if (!result.holds) failures[i] = std::move(result);
+  });
   for (auto& failure : failures) {
     if (failure) report.failures.push_back(std::move(*failure));
   }

@@ -143,16 +143,16 @@ class FastEngine {
  private:
   /// One Z3 engine per worker slot, created on first fallback. Slots are
   /// touched by exactly one worker during a parallel section, so access
-  /// needs no lock once the pool vector is sized (done before spawning).
+  /// needs no lock once the slot vector is sized (done before the workers
+  /// start).
   Engine& fallback_engine(std::size_t slot);
-  void ensure_pool(std::size_t slots);
 
   [[nodiscard]] ContractCheckResult check_one(
       const Policy& policy, const ConnectivityContract& contract,
       std::size_t slot);
 
   FastEngineConfig config_;
-  std::vector<std::unique_ptr<Engine>> pool_;
+  std::vector<std::unique_ptr<Engine>> fallbacks_;
   std::atomic<std::uint64_t> fastpath_hits_{0};
   std::atomic<std::uint64_t> smt_fallbacks_{0};
   obs::Counter* fastpath_hits_metric_ = nullptr;

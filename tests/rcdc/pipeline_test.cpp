@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+
 #include "rcdc/flaky_fib_source.hpp"
 #include "rcdc/resilient_fib_source.hpp"
 #include "routing/bgp_sim.hpp"
@@ -91,6 +94,48 @@ TEST(MonitoringPipeline, SingleWorkerConfigWorks) {
   MonitoringPipeline pipeline(metadata, fibs, make_trie_verifier_factory(),
                               config);
   EXPECT_EQ(pipeline.run_cycle().devices, topology.device_count());
+}
+
+// A fetch layer that throws instead of reporting a failed pull: the
+// exception surfaces from run_cycle, and the validators, waiting on a
+// queue no puller will fill, are released instead of hanging the cycle.
+TEST(MonitoringPipeline, ThrowingFetchSurfacesFromRunCycle) {
+  class ThrowingFibSource final : public FibSource {
+   public:
+    [[nodiscard]] FetchOutcome try_fetch(topo::DeviceId) const override {
+      throw std::runtime_error("fetch layer failed");
+    }
+  };
+  const auto topology = topo::build_figure3();
+  const topo::MetadataService metadata(topology);
+  const ThrowingFibSource fibs;
+  MonitoringPipeline pipeline(metadata, fibs, make_trie_verifier_factory(),
+                              fast_config());
+  EXPECT_THROW((void)pipeline.run_cycle(), std::runtime_error);
+}
+
+// A verifier that throws takes its validator down: the queue closes, so
+// pullers blocked on the full one-slot queue stop instead of hanging.
+TEST(MonitoringPipeline, ThrowingVerifierSurfacesFromRunCycle) {
+  class ThrowingVerifier final : public Verifier {
+   public:
+    [[nodiscard]] std::vector<Violation> check(
+        const routing::ForwardingTable&, std::span<const Contract>,
+        topo::DeviceId) override {
+      throw std::runtime_error("verifier failed");
+    }
+  };
+  const auto topology = topo::build_figure3();
+  const topo::MetadataService metadata(topology);
+  const routing::BgpSimulator sim(topology);
+  const SimulatorFibSource fibs(sim);
+  PipelineConfig config = fast_config();
+  config.validator_workers = 1;
+  config.queue_capacity = 1;
+  MonitoringPipeline pipeline(
+      metadata, fibs, [] { return std::make_unique<ThrowingVerifier>(); },
+      config);
+  EXPECT_THROW((void)pipeline.run_cycle(), std::runtime_error);
 }
 
 TEST(MonitoringPipeline, BoundedQueueBackpressuresWithoutLoss) {

@@ -106,15 +106,6 @@ TEST_F(PrecheckTest, RolloutStopsAtFirstRejection) {
   EXPECT_FALSE(results[1].approved);
 }
 
-TEST(PrecheckThreads, ZeroResolvesToAHardwareAwareDefault) {
-  const unsigned resolved = resolve_precheck_threads(0);
-  EXPECT_GE(resolved, 1u);
-  EXPECT_LE(resolved, 16u);
-  // An explicit count is taken at face value.
-  EXPECT_EQ(resolve_precheck_threads(3), 3u);
-  EXPECT_EQ(resolve_precheck_threads(64), 64u);
-}
-
 // The warm serving session must be semantically indistinguishable from
 // the cold clone-per-check pipeline — same verdicts, same counts, same
 // introduced violations — while revalidating only the diverged devices.

@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
                      "HTTP port (default 0 = ephemeral; the bound port is "
                      "printed on startup)"),
           cli::count("--threads", "N", gate_config.precheck_threads,
-                     "precheck validation threads (default 0 = "
-                     "hardware-aware)"),
+                     "precheck emulator and validation threads "
+                     "(default 0 = hardware default)"),
           cli::duration<std::chrono::milliseconds>(
               "--batch-window-ms", gate_config.batch_window,
               "precheck coalescing window (default 2)"),

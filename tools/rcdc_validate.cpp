@@ -24,6 +24,7 @@
 #include "dist/process.hpp"
 #include "dist/report.hpp"
 #include "dist/transport.hpp"
+#include "exec/executor.hpp"
 #include "gate/gate_service.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -64,7 +65,7 @@ struct Options {
   Clock::duration metrics_flush{0};
   bool serve_set = false;
   std::uint16_t serve_port = 0;
-  /// HTTP pool of the pipeline's server (worker threads, admission queue).
+  /// HTTP pool of the telemetry server (worker threads, admission queue).
   obs::TelemetryServerConfig http;
   bool cycles_given = false;
   std::uint64_t cycles = 0;
@@ -98,7 +99,7 @@ std::vector<cli::Flag> flag_table(Options& o) {
       cli::choice("--verifier", "V", o.verifier_name, rcdc::kVerifierNames,
                   "trie (default), smt, or linear"),
       cli::count("--threads", "N", o.threads,
-                 "validation workers (default 4)"),
+                 "validation workers (default 4; 0 = hardware default)"),
       cli::toggle("--global", o.run_global,
                   "also run the global all-pairs baseline"),
       cli::text("--beliefs", "FILE", o.beliefs_path,
@@ -272,10 +273,15 @@ void print_latency_table(const obs::MetricsRegistry& registry) {
   }
 }
 
-/// Prints the per-stage latency table when `table`, then writes the
-/// metrics dump; false when the write failed.
+/// Stops the periodic `flusher`, so no older snapshot can land after this
+/// one, prints the per-stage latency table when `table`, then writes the
+/// final metrics dump; false when the write failed.
 bool dump_metrics(const Options& o, const obs::MetricsRegistry& registry,
-                  bool table) {
+                  bool table, std::jthread& flusher) {
+  if (flusher.joinable()) {
+    flusher.request_stop();
+    flusher.join();
+  }
   if (table) print_latency_table(registry);
   return cli::write_metrics(registry, o.metrics_out, o.metrics_format);
 }
@@ -314,7 +320,7 @@ bool more_cycles(const Options& o, std::uint64_t c) {
 int run_distributed(Options o, const std::string& program,
                     const topo::Topology& topology,
                     const topo::MetadataService& metadata,
-                    obs::MetricsRegistry& registry) {
+                    obs::MetricsRegistry& registry, std::jthread& flusher) {
   // Coordinator role: SIGPIPE must surface as transport errors, and
   // SIGCHLD marks exited workers for reaping between cycles.
   dist::install_fleet_signal_handlers();
@@ -374,7 +380,7 @@ int run_distributed(Options o, const std::string& program,
 
   std::unique_ptr<obs::TelemetryServer> server;
   if (o.serve_set) {
-    obs::TelemetryServerConfig server_config;
+    obs::TelemetryServerConfig server_config = o.http;
     // /tracez serves the merged fleet timeline (coordinator + every
     // worker's re-parented spans), not just the local ring.
     server_config.trace_renderer = [&coordinator](std::size_t max_spans) {
@@ -458,7 +464,7 @@ int run_distributed(Options o, const std::string& program,
   if (server != nullptr) server->stop();
   if (o.as_json) std::cout << last_report;
   if (!o.metrics_out.empty() &&
-      !dump_metrics(o, registry, !o.quiet && !o.as_json)) {
+      !dump_metrics(o, registry, !o.quiet && !o.as_json, flusher)) {
     return 1;
   }
   if (!o.trace_out.empty()) {
@@ -496,7 +502,7 @@ int run_distributed(Options o, const std::string& program,
 int run_pipeline(Options o, const topo::Topology& topology,
                  const topo::MetadataService& metadata,
                  obs::MetricsRegistry& registry, const rcdc::FibSource& fibs,
-                 const rcdc::VerifierFactory& factory) {
+                 const rcdc::VerifierFactory& factory, std::jthread& flusher) {
   const std::unique_ptr<obs::TraceRing> trace = make_trace(o, registry);
   o.pipeline.metrics = &registry;
   o.pipeline.trace = trace.get();
@@ -557,7 +563,7 @@ int run_pipeline(Options o, const topo::Topology& topology,
               << " (Chrome trace-event JSON; open in Perfetto)\n";
   }
   if (!o.metrics_out.empty()) {
-    if (!dump_metrics(o, registry, !o.quiet)) return 1;
+    if (!dump_metrics(o, registry, !o.quiet, flusher)) return 1;
     std::cout << "metrics: " << o.metrics_format << " dump written to "
               << o.metrics_out << "\n";
   }
@@ -574,14 +580,17 @@ int run_sweep(const Options& o, const topo::Topology& topology,
               const topo::MetadataService& metadata,
               obs::MetricsRegistry& registry, obs::MetricsRegistry* metrics,
               const rcdc::FibSource& fibs, const rcdc::FibSource& active,
-              const rcdc::VerifierFactory& factory) {
+              const rcdc::VerifierFactory& factory, std::jthread& flusher) {
   const rcdc::DatacenterValidator validator(metadata, active, factory, {},
                                             metrics);
-  const auto summary = validator.run(o.threads);
+  const unsigned threads = exec::default_threads(o.threads);
+  const auto summary = validator.run(threads);
 
   if (o.as_json) {
     std::cout << rcdc::write_report_json(summary, topology);
-    if (metrics != nullptr && !dump_metrics(o, registry, false)) return 1;
+    if (metrics != nullptr && !dump_metrics(o, registry, false, flusher)) {
+      return 1;
+    }
     return summary.violations.empty() ? 0 : 3;
   }
 
@@ -604,8 +613,7 @@ int run_sweep(const Options& o, const topo::Topology& topology,
             << summary.contracts_checked << " contracts, "
             << summary.violations.size() << " violations in "
             << std::chrono::duration<double>(summary.elapsed).count()
-            << " s (" << o.verifier_name << ", " << o.threads
-            << " threads)\n";
+            << " s (" << o.verifier_name << ", " << threads << " threads)\n";
   if (o.use_flaky || o.use_resilience || summary.devices_failed > 0) {
     std::cout << "fetch layer: coverage " << 100.0 * summary.coverage()
               << "% (" << summary.devices_failed << " failed, "
@@ -615,7 +623,7 @@ int run_sweep(const Options& o, const topo::Topology& topology,
               << " degraded-confidence violations)\n";
   }
   if (metrics != nullptr) {
-    if (!dump_metrics(o, registry, !o.quiet)) return 1;
+    if (!dump_metrics(o, registry, !o.quiet, flusher)) return 1;
     std::cout << "metrics: " << o.metrics_format << " dump written to "
               << o.metrics_out << "\n";
   }
@@ -702,7 +710,8 @@ int main(int argc, char** argv) {
         topo::parse_topology(cli::read_file(o.topology_path));
     const topo::MetadataService metadata(topology);
     if (distributed) {
-      return run_distributed(o, program, topology, metadata, registry);
+      return run_distributed(o, program, topology, metadata, registry,
+                             metrics_flusher);
     }
 
     obs::MetricsRegistry* metrics =
@@ -736,9 +745,10 @@ int main(int argc, char** argv) {
     const rcdc::VerifierFactory factory =
         rcdc::make_verifier_factory(o.verifier_name, metrics);
     if (pipeline_mode) {
-      return run_pipeline(o, topology, metadata, registry, *active, factory);
+      return run_pipeline(o, topology, metadata, registry, *active, factory,
+                          metrics_flusher);
     }
     return run_sweep(o, topology, metadata, registry, metrics, *fibs,
-                     *active, factory);
+                     *active, factory, metrics_flusher);
   });
 }
