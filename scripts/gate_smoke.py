@@ -11,8 +11,9 @@ dcv_gate) over its public HTTP surface:
      one 429 with a Retry-After header, and /readyz must flip to 503 with
      the queue-saturation detail while the storm runs — then recover to
      200 once it drains.
-  3. Exposition: /metrics contains the per-request HTTP series and the
-     gate counters (written to --metrics-out for the exposition linter).
+  3. Exposition: /metrics contains the per-request HTTP series, the gate
+     counters and the precheck phase histograms (written to --metrics-out
+     for the exposition linter); /gatez reports the contracts rechecked.
 
 Exits non-zero (with a FAIL line) on any violated expectation.
 """
@@ -158,7 +159,10 @@ def phase_metrics(port, metrics_out, expect_429):
     for series in ("dcv_http_requests_total", "dcv_http_request_ns",
                    "dcv_http_open_connections", "dcv_http_queued_requests",
                    "dcv_gate_prechecks_total", "dcv_gate_nsg_checks_total",
-                   "dcv_gate_precheck_batches_total"):
+                   "dcv_gate_precheck_batches_total",
+                   'dcv_precheck_phase_ns_count{phase="reconverge"}',
+                   'dcv_precheck_phase_ns_count{phase="rollback"}',
+                   "dcv_precheck_contracts_rechecked_total"):
         if series not in text:
             fail(f"/metrics is missing {series}")
     if expect_429 and 'code="429"' not in text:
@@ -166,6 +170,8 @@ def phase_metrics(port, metrics_out, expect_429):
     status, _, body = request(port, "GET", "/gatez")
     if status != 200 or b"prechecks served" not in body:
         fail(f"/gatez answered {status}: {body[:80]!r}")
+    if b"contracts rechecked" not in body:
+        fail("/gatez is missing the contracts rechecked line")
     if metrics_out:
         with open(metrics_out, "w") as out:
             out.write(text)

@@ -26,7 +26,8 @@ obs::HttpResponse text_response(int status, std::string body) {
 GateService::GateService(const topo::Topology& production, GateConfig config)
     : production_(&production),
       config_(config),
-      session_(production, config.contract_options, config.precheck_threads),
+      session_(production, config.contract_options, config.precheck_threads,
+               config.metrics),
       nsg_pool_(config.nsg_engines, config.engine_config, config.metrics) {
   if (config_.metrics != nullptr) {
     precheck_approved_ = &config_.metrics->counter(
@@ -269,6 +270,7 @@ obs::HttpResponse GateService::handle_gatez(
        << batches_run_.load(std::memory_order_relaxed) << "\n"
        << "  devices revalidated   " << session_.devices_revalidated() << "\n"
        << "  devices skipped       " << session_.devices_skipped() << "\n"
+       << "  contracts rechecked   " << session_.contracts_rechecked() << "\n"
        << "  nsg checks served     "
        << nsg_checks_served_.load(std::memory_order_relaxed) << "\n"
        << "  nsg engines           " << nsg_pool_.size() << " ("

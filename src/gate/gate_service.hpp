@@ -38,7 +38,8 @@ struct GateConfig {
   std::size_t nsg_body_bytes = 1 << 20;
   rcdc::ContractGenOptions contract_options = {};
   secguru::FastEngineConfig engine_config = {};
-  /// When set (must outlive the service), receives dcv_gate_* series.
+  /// When set (must outlive the service), receives dcv_gate_* series and
+  /// the precheck session's dcv_precheck_* series.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -50,8 +51,11 @@ struct GateConfig {
 ///                    (bad plans 400 without touching the emulator) and
 ///                    checked by a persistent warm PrecheckSession.
 ///                    Requests arriving within `batch_window` coalesce
-///                    into one emulator batch: K changes cost K+1 warm
-///                    reconvergences instead of K cold clones. 200 carries
+///                    into one emulator batch: K changes cost K warm
+///                    reconvergences instead of K cold clones, each undone
+///                    from the emulator's undo log rather than by a second
+///                    reconvergence, and each changed device rechecks only
+///                    the contracts a changed rule touches. 200 carries
 ///                    the per-change verdicts; "decision: approved" on the
 ///                    first line iff every change passed.
 ///   POST /nsg-check  query: ?vnet=NAME&space=CIDR&db=0|1 (db default 1);
@@ -61,7 +65,8 @@ struct GateConfig {
 ///                    "decision: accepted" or "decision: rejected" plus
 ///                    the failed contracts and witness packets.
 ///   GET  /gatez      plain-text serving counters (batches, amortization,
-///                    divergence-proportionality evidence).
+///                    divergence-proportionality evidence: devices
+///                    revalidated and skipped, contracts rechecked).
 ///
 /// A session is bound to the production topology epoch it cloned; when the
 /// live epoch moves on, prechecks answer 409 until a fresh gate is built.

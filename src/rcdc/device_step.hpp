@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "net/interval.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "rcdc/fib_source.hpp"
@@ -93,17 +94,39 @@ class DeviceStep {
                                std::span<const Contract> contracts,
                                const routing::FibPtr& table, bool degraded);
 
+  /// check() of `after` given the verdict of an earlier table: locality
+  /// (§2.4–2.5) makes a contract's verdict a function of the rules whose
+  /// prefix overlaps the contract's, so only the contracts a changed rule
+  /// touches run through the verifier — a changed default route touches
+  /// every contract — and every other contract keeps its violations from
+  /// `before_violations`, what check() or recheck() returned for `before`
+  /// against the same `contracts`. The result is element for element the
+  /// verifier's own output for `after`; a `before_violations` not in the
+  /// verifier's order cannot be split by contract and gets a full check.
+  /// Accounts the result like check(), counting only the rechecked
+  /// contracts as checked.
+  std::vector<Violation> recheck(topo::DeviceId device,
+                                 std::span<const Contract> contracts,
+                                 const routing::ForwardingTable& before,
+                                 const std::vector<Violation>& before_violations,
+                                 const routing::ForwardingTable& after,
+                                 bool degraded);
+
   /// check() through the step's cache: a table the cache already holds a
   /// verdict for replays that verdict (accounted at the current pull's
-  /// confidence), any other table is checked and its verdict stored. The
-  /// returned list is the cache's entry — or, without a cache, this step's
-  /// own buffer, valid until the next verify().
+  /// confidence); any other table is rechecked against the entry's pinned
+  /// table when it has one (checked in full when not) and its verdict
+  /// stored. The returned list is the cache's entry — or, without a cache,
+  /// this step's own buffer, valid until the next verify().
   const std::vector<Violation>& verify(topo::DeviceId device,
                                        std::span<const Contract> contracts,
                                        const routing::FibPtr& table,
                                        bool degraded);
 
  private:
+  /// Accounts one verified device whose verify span is `verify_span`.
+  void finish(obs::Span& verify_span, std::size_t contracts_checked,
+              const std::vector<Violation>& violations, bool degraded);
   /// Accounts reported violations, fresh or replayed.
   void count(const std::vector<Violation>& violations, bool degraded);
 
@@ -113,6 +136,11 @@ class DeviceStep {
   obs::TraceRing* trace_;
   std::unique_ptr<Verifier> verifier_;
   std::vector<Violation> fresh_;
+  // recheck() scratch, retained across devices.
+  std::vector<net::Prefix> changed_;
+  std::vector<net::AddressInterval> ranges_;
+  std::vector<std::size_t> touched_;
+  std::vector<Contract> subset_;
 };
 
 }  // namespace dcv::rcdc

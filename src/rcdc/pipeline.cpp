@@ -18,6 +18,21 @@ namespace {
 /// pipelines sharing one trace ring never alias each other's cycles.
 std::atomic<std::uint64_t> g_next_cycle_id{1};
 
+/// Sets a flag for its own lifetime: cleared on every exit, a throw
+/// included.
+class FlagScope {
+ public:
+  explicit FlagScope(std::atomic<bool>& flag) : flag_(&flag) {
+    flag.store(true, std::memory_order_relaxed);
+  }
+  ~FlagScope() { flag_->store(false, std::memory_order_relaxed); }
+  FlagScope(const FlagScope&) = delete;
+  FlagScope& operator=(const FlagScope&) = delete;
+
+ private:
+  std::atomic<bool>* flag_;
+};
+
 struct Notification {
   topo::DeviceId device = topo::kInvalidDevice;
   /// A pull that produced a table; a degraded one (stale fallback or
@@ -78,7 +93,7 @@ PipelineStats MonitoringPipeline::run_cycle() {
   CycleMetrics metrics(config_.metrics);
   const std::uint64_t cycle_id =
       g_next_cycle_id.fetch_add(1, std::memory_order_relaxed);
-  cycle_in_progress_.store(true, std::memory_order_relaxed);
+  const FlagScope in_progress(cycle_in_progress_);
   const obs::CycleScope cycle_scope(cycle_id);
   obs::Span cycle_span("cycle", nullptr, config_.trace);
 
@@ -259,7 +274,6 @@ PipelineStats MonitoringPipeline::run_cycle() {
                                .count(),
                            std::memory_order_relaxed);
   cycles_completed_.fetch_add(1, std::memory_order_relaxed);
-  cycle_in_progress_.store(false, std::memory_order_relaxed);
   return stats;
 }
 

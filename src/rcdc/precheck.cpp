@@ -1,9 +1,14 @@
 #include "rcdc/precheck.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <numeric>
+#include <span>
+#include <stdexcept>
 #include <utility>
 
 #include "exec/executor.hpp"
+#include "obs/span.hpp"
 #include "rcdc/trie_verifier.hpp"
 
 namespace dcv::rcdc {
@@ -86,141 +91,173 @@ std::vector<PrecheckResult> PrecheckPipeline::check_rollout(
 }
 
 PrecheckSession::PrecheckSession(const topo::Topology& production,
-                                 ContractGenOptions options, unsigned threads)
-    : options_(options),
-      threads_(exec::default_threads(threads)),
+                                 ContractGenOptions options, unsigned threads,
+                                 obs::MetricsRegistry* metrics)
+    : threads_(exec::default_threads(threads)),
       base_epoch_(production.epoch()),
       base_(production),
       emulated_(production),
       intent_(base_),
+      plan_(ContractGenerator(intent_, options).plan()),
       simulator_(emulated_, nullptr, nullptr, {.threads = threads_}),
-      fibs_(simulator_),
-      validator_(intent_, fibs_, make_trie_verifier_factory(), options_) {
+      verifier_factory_(make_trie_verifier_factory()),
+      steps_(threads_) {
+  if (metrics != nullptr) {
+    const auto phase = [metrics](const char* name) {
+      return &metrics->histogram(
+          "dcv_precheck_phase_ns",
+          "Per-change precheck time, by phase: reconverge (apply + warm "
+          "reconverge), diff (new tables and baseline lookups) and verify "
+          "(delta recheck), each summed over the changed devices, and "
+          "rollback (topology restore + undo log)",
+          {{"phase", name}});
+    };
+    reconverge_ns_ = phase("reconverge");
+    diff_ns_ = phase("diff");
+    verify_ns_ = phase("verify");
+    rollback_ns_ = phase("rollback");
+    contracts_rechecked_total_ = &metrics->counter(
+        "dcv_precheck_contracts_rechecked_total",
+        "Contracts prechecks ran through the verifier; the rest kept their "
+        "baseline verdict");
+  }
   // The one cold pass: converge (done by the simulator constructor),
-  // validate everything, and record the per-device baseline every later
-  // check diffs against. The entries pin no table handle: reconvergence
-  // rebuilds exactly the candidates' tables, so identity could never match
-  // one, and pinning would keep a second copy of every rebuilt table.
-  const ValidationSummary summary = validator_.run(threads_);
-  baseline_total_ = summary.violations.size();
-  baseline_.set_epoch(base_epoch_, base_.device_count());
-  auto violation = summary.violations.begin();  // sorted by device
-  for (std::size_t d = 0; d < base_.device_count(); ++d) {
+  // validate everything, and pin every device's baseline table with its
+  // verdict. Rollback restores these very handles, so unchanged devices
+  // match by identity and changed ones recheck against them.
+  const std::size_t devices = base_.device_count();
+  std::vector<routing::FibPtr> tables(devices);
+  std::vector<std::vector<Violation>> found(devices);
+  exec::for_each(threads_, devices, [&](unsigned worker, std::size_t d) {
     const auto device = static_cast<topo::DeviceId>(d);
-    const auto first = violation;
-    while (violation != summary.violations.end() &&
-           violation->device == device) {
-      ++violation;
+    tables[d] = simulator_.fib_handle(device);
+    const std::span<const Contract> contracts = plan_->contracts_for(device);
+    if (!contracts.empty()) {
+      found[d] = step(worker).check(device, contracts, tables[d], false);
     }
-    (void)baseline_.store(device, nullptr, fingerprint(simulator_.fib(device)),
-                          {first, violation});
+  });
+  baseline_.set_epoch(base_epoch_, devices);
+  for (std::size_t d = 0; d < devices; ++d) {
+    baseline_total_ += found[d].size();
+    const std::uint64_t print = fingerprint(*tables[d]);
+    (void)baseline_.store(static_cast<topo::DeviceId>(d), std::move(tables[d]),
+                          print, std::move(found[d]));
   }
   (void)simulator_.take_changed_devices();  // the cold run marked everything
 }
 
-PrecheckResult PrecheckSession::check(const NetworkChange& change) {
-  return check_batch({NetworkChange{change.description, change.apply}})
-      .front();
-}
-
-PrecheckResult PrecheckSession::evaluate(
-    const std::string& description, std::vector<topo::DeviceId>& divergent) {
-  PrecheckResult result;
-  result.description = description;
-  result.baseline_violations = baseline_total_;
-
-  // Candidate set: devices already divergent before this step plus devices
-  // the reconvergence just touched. Everything else is fingerprint-equal
-  // to the baseline by induction and need not be re-examined.
-  std::vector<topo::DeviceId> candidates = simulator_.take_changed_devices();
-  candidates.insert(candidates.end(), divergent.begin(), divergent.end());
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-
-  divergent.clear();
-  for (const topo::DeviceId device : candidates) {
-    if (baseline_.lookup(device, simulator_.fib_handle(device)).violations ==
-        nullptr) {
-      divergent.push_back(device);
-    }
-  }
-  devices_revalidated_ += divergent.size();
-  devices_skipped_ += base_.device_count() - divergent.size();
-  ++checks_run_;
-
-  if (divergent.empty()) {
-    result.post_change_violations = baseline_total_;
-    result.approved = true;
-    return result;
-  }
-
-  ValidationSummary summary = validator_.run(divergent, threads_);
-  std::size_t baseline_on_divergent = 0;
-  for (const topo::DeviceId device : divergent) {
-    baseline_on_divergent += baseline_.violations(device).size();
-  }
-  result.post_change_violations =
-      baseline_total_ - baseline_on_divergent + summary.violations.size();
-  for (Violation& violation : summary.violations) {
-    const auto& base = baseline_.violations(violation.device);
-    if (std::find(base.begin(), base.end(), violation) == base.end()) {
-      result.introduced.push_back(std::move(violation));
-    }
-  }
-  result.approved = result.introduced.empty();
-  return result;
+DeviceStep& PrecheckSession::step(unsigned worker) {
+  std::optional<DeviceStep>& slot = steps_[worker];
+  if (!slot) slot.emplace(verifier_factory_, tally_, step_metrics_);
+  return *slot;
 }
 
 std::vector<PrecheckResult> PrecheckSession::check_batch(
     const std::vector<NetworkChange>& changes) {
   std::vector<PrecheckResult> results;
   results.reserve(changes.size());
-  if (changes.empty()) return results;
+  for (const NetworkChange& change : changes) {
+    results.push_back(check(change));
+  }
+  return results;
+}
 
-  // Devices whose FIB currently differs from the baseline fixpoint
-  // (relative to the state the simulator is converged on). Starts empty:
-  // the session is always at the baseline between batches.
-  std::vector<topo::DeviceId> divergent;
+PrecheckResult PrecheckSession::check(const NetworkChange& change) {
+  PrecheckResult result;
+  result.description = change.description;
+  result.baseline_violations = baseline_total_;
+  result.post_change_violations = baseline_total_;
+  ++checks_run_;
 
-  for (std::size_t i = 0; i < changes.size(); ++i) {
-    // Revert the previous change and apply this one as ONE topology delta,
-    // then warm-reconverge once — the batch amortization (K+1 instead of
-    // 2K reconvergences for K changes).
-    if (i > 0) emulated_ = base_;
-    std::string error;
-    try {
-      changes[i].apply(emulated_);
-    } catch (const std::exception& exception) {
-      error = exception.what();
-      emulated_ = base_;  // drop any partial mutation
-    }
-    if (error.empty() && (emulated_.device_count() != base_.device_count() ||
-                          emulated_.link_count() != base_.link_count())) {
-      // Fabric-shape changes invalidate the per-device baseline mapping;
-      // they belong in the cold PrecheckPipeline, not the warm session.
-      error = "shape-changing change not supported by the warm session";
-      emulated_ = base_;
-    }
-    simulator_.reconverge();
+  obs::ScopedTimer reconverge_timer(reconverge_ns_);
+  simulator_.checkpoint();
+  try {
+    change.apply(emulated_);
+  } catch (const std::exception& exception) {
+    result.error = exception.what();
+  }
+  if (result.error.empty() &&
+      (emulated_.device_count() != base_.device_count() ||
+       emulated_.link_count() != base_.link_count())) {
+    // Fabric-shape changes invalidate the per-device baseline mapping;
+    // they belong in the cold PrecheckPipeline, not the warm session.
+    result.error = "shape-changing change not supported by the warm session";
+  }
+  if (!result.error.empty()) {
+    reconverge_timer.cancel();
+    emulated_ = base_;  // drop any partial mutation
+    simulator_.rollback();
+    devices_skipped_ += base_.device_count();
+    return result;
+  }
+  simulator_.reconverge();
+  reconverge_timer.stop();
 
-    if (!error.empty()) {
-      // The emulated network is back at (a state fingerprint-equal to) the
-      // baseline; refresh the divergence bookkeeping and report the error.
-      PrecheckResult failed = evaluate(changes[i].description, divergent);
-      failed.error = std::move(error);
-      failed.approved = false;
-      results.push_back(std::move(failed));
-      continue;
+  // A device the reconvergence did not touch still serves its baseline
+  // handle; a touched one diverges unless its new table fingerprints equal
+  // to the baseline's, and is then rechecked against it. Each new table is
+  // programmed (the emulator runs without device faults) outside the
+  // simulator's cache and dropped after its recheck, so a check never
+  // holds every changed device's baseline and new tables at once;
+  // rollback() puts the baseline handles back in the cache.
+  const std::vector<topo::DeviceId> changed = simulator_.take_changed_devices();
+  const bool timed = diff_ns_ != nullptr;
+  std::vector<std::uint64_t> diff_ns(timed ? changed.size() : 0);
+  std::vector<std::uint8_t> divergent(changed.size(), 0);
+  std::vector<std::vector<Violation>> post(changed.size());
+  const std::size_t checked_before = tally_.contracts_checked.load();
+  const std::uint64_t verify_ns_before = tally_.verify_ns.load();
+  exec::for_each(threads_, changed.size(), [&](unsigned worker, std::size_t i) {
+    const topo::DeviceId device = changed[i];
+    const auto start = timed ? std::chrono::steady_clock::now()
+                             : std::chrono::steady_clock::time_point{};
+    const routing::FibPtr table = routing::share_fib(
+        routing::program_fib(simulator_.rib(device), nullptr, device));
+    const bool same = baseline_.lookup(device, table).violations != nullptr;
+    if (timed) {
+      diff_ns[i] = static_cast<std::uint64_t>(
+          (std::chrono::steady_clock::now() - start).count());
     }
-    results.push_back(evaluate(changes[i].description, divergent));
+    if (same) return;
+    divergent[i] = 1;
+    post[i] = step(worker).recheck(device, plan_->contracts_for(device),
+                                   *baseline_.table(device),
+                                   baseline_.violations(device), *table, false);
+  });
+  const std::size_t revalidated = static_cast<std::size_t>(
+      std::count(divergent.begin(), divergent.end(), 1));
+  devices_revalidated_ += revalidated;
+  devices_skipped_ += base_.device_count() - revalidated;
+  const std::size_t rechecked =
+      tally_.contracts_checked.load() - checked_before;
+  contracts_rechecked_ += rechecked;
+  if (timed) {
+    diff_ns_->observe(std::accumulate(diff_ns.begin(), diff_ns.end(),
+                                      std::uint64_t{0}));
+    verify_ns_->observe(tally_.verify_ns.load() - verify_ns_before);
+    contracts_rechecked_total_->inc(rechecked);
   }
 
-  // Roll back the last change so the session is at the baseline again.
+  for (std::size_t i = 0; i < changed.size(); ++i) {
+    if (divergent[i] == 0) continue;
+    const std::vector<Violation>& base = baseline_.violations(changed[i]);
+    result.post_change_violations += post[i].size();
+    result.post_change_violations -= base.size();
+    // Reported in DatacenterValidator::run()'s order, as PrecheckPipeline
+    // reports them.
+    std::sort(post[i].begin(), post[i].end(), report_order);
+    for (Violation& violation : post[i]) {
+      if (std::find(base.begin(), base.end(), violation) == base.end()) {
+        result.introduced.push_back(std::move(violation));
+      }
+    }
+  }
+  result.approved = result.introduced.empty();
+
+  obs::ScopedTimer rollback_timer(rollback_ns_);
   emulated_ = base_;
-  simulator_.reconverge();
-  (void)simulator_.take_changed_devices();  // all baseline-equal again
-  return results;
+  simulator_.rollback();
+  return result;
 }
 
 }  // namespace dcv::rcdc

@@ -3,10 +3,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "rcdc/contract.hpp"
+#include "rcdc/contract_gen.hpp"
+#include "rcdc/device_step.hpp"
 #include "rcdc/fib_source.hpp"
 #include "rcdc/validator.hpp"
 #include "rcdc/verdict_cache.hpp"
@@ -90,34 +94,44 @@ class PrecheckPipeline {
 /// emulator instead of a clone-and-cold-converge per request.
 ///
 /// Construction pays the full cost once — clone the production topology,
-/// cold-converge the simulator, validate the baseline, fingerprint every
-/// device's FIB. Each check() then applies the change, *warm*-reconverges
-/// (worklist seeded from exactly the touched devices), and revalidates only
-/// the devices whose FIB fingerprint diverged from the baseline — the
-/// serving analogue of keeping per-request work proportional to the
-/// change, not the fabric. The emulated clone is rolled back after every
-/// check, so checks are independent (no rollout semantics).
+/// cold-converge the simulator, validate the baseline and pin every
+/// device's baseline FIB handle with its verdict. Each change then costs
+/// O(changed rules), not O(changed devices × contracts):
 ///
-/// check_batch() amortizes further: checking K coalesced changes costs K+1
-/// reconvergences (apply, K-1 composite revert+apply steps, final revert)
-/// instead of 2K, because reverting change i and applying change i+1 is a
-/// single warm delta. Results are per-change and identical to K
-/// independent check() calls.
+///   checkpoint → apply → warm reconverge (worklist seeded from exactly the
+///   touched devices) → recheck each device whose table misses the
+///   baseline → restore the topology → rollback.
+///
+/// The recheck (DeviceStep::recheck) merge-diffs the device's table against
+/// its baseline and runs the verifier only on the contracts a changed rule
+/// touches, keeping the baseline verdict of the rest. The rollback swaps
+/// the simulator's undo log back (BgpSimulator::checkpoint/rollback) at
+/// O(changed devices) cost instead of reconverging a second time, and puts
+/// the very baseline handles back, so pinning them costs no second copy.
+/// Checks are independent (no rollout semantics); a batch of K changes
+/// costs K reconvergences plus K rollbacks.
 ///
 /// Not thread-safe: one session serves one gate thread (or is externally
 /// serialized — the change-gate batcher does exactly that).
 class PrecheckSession {
  public:
   /// `threads` bounds the emulator's and the validation's parallelism, as
-  /// in PrecheckPipeline.
+  /// in PrecheckPipeline. `metrics`, when set (it must outlive the
+  /// session), receives dcv_precheck_phase_ns{phase="reconverge"|"diff"|
+  /// "verify"|"rollback"} per change and
+  /// dcv_precheck_contracts_rechecked_total.
   explicit PrecheckSession(const topo::Topology& production,
                            ContractGenOptions options = {},
-                           unsigned threads = 0);
+                           unsigned threads = 0,
+                           obs::MetricsRegistry* metrics = nullptr);
 
   PrecheckSession(const PrecheckSession&) = delete;
   PrecheckSession& operator=(const PrecheckSession&) = delete;
 
+  /// Prechecks one change against the baseline and leaves the session at
+  /// the baseline again.
   [[nodiscard]] PrecheckResult check(const NetworkChange& change);
+  /// check() of each change in turn.
   [[nodiscard]] std::vector<PrecheckResult> check_batch(
       const std::vector<NetworkChange>& changes);
 
@@ -137,34 +151,46 @@ class PrecheckSession {
   [[nodiscard]] std::uint64_t devices_skipped() const {
     return devices_skipped_;
   }
+  /// Contracts the revalidated devices actually ran through the verifier,
+  /// summed over all checks; the rest kept their baseline verdict.
+  [[nodiscard]] std::uint64_t contracts_rechecked() const {
+    return contracts_rechecked_;
+  }
 
  private:
-  /// Re-derives the divergence set after a reconvergence and validates it.
-  /// `divergent` carries the device set differing from baseline before the
-  /// step and is updated in place.
-  PrecheckResult evaluate(const std::string& description,
-                          std::vector<topo::DeviceId>& divergent);
+  /// The step of executor worker `worker`, created on first use.
+  DeviceStep& step(unsigned worker);
 
-  ContractGenOptions options_;
   unsigned threads_;
   std::uint64_t base_epoch_ = 0;
 
   topo::Topology base_;      // pristine clone, rollback source
   topo::Topology emulated_;  // live working copy under the simulator
   topo::MetadataService intent_;
+  ContractPlanPtr plan_;
   routing::BgpSimulator simulator_;
-  SimulatorFibSource fibs_;
-  DatacenterValidator validator_;
+
+  VerifierFactory verifier_factory_;
+  StepMetrics step_metrics_{nullptr};
+  StepTally tally_;
+  std::vector<std::optional<DeviceStep>> steps_;
 
   std::size_t baseline_total_ = 0;
-  /// Per-device baseline verdicts: filled once by the cold pass, then only
-  /// read. A device diverges from the baseline exactly when its lookup
-  /// misses.
+  /// Per-device baseline handles and verdicts: filled once by the cold
+  /// pass, then only read. A device diverges from the baseline exactly
+  /// when its lookup misses.
   VerdictCache baseline_;
 
   std::uint64_t checks_run_ = 0;
   std::uint64_t devices_revalidated_ = 0;
   std::uint64_t devices_skipped_ = 0;
+  std::uint64_t contracts_rechecked_ = 0;
+
+  obs::Histogram* reconverge_ns_ = nullptr;
+  obs::Histogram* diff_ns_ = nullptr;
+  obs::Histogram* verify_ns_ = nullptr;
+  obs::Histogram* rollback_ns_ = nullptr;
+  obs::Counter* contracts_rechecked_total_ = nullptr;
 };
 
 }  // namespace dcv::rcdc

@@ -123,16 +123,18 @@ ValidationSummary DatacenterValidator::run(
                               std::make_move_iterator(violations.end()));
   }
   std::sort(summary.violations.begin(), summary.violations.end(),
-            [](const Violation& a, const Violation& b) {
-              if (a.device != b.device) return a.device < b.device;
-              if (a.contract.prefix != b.contract.prefix) {
-                return a.contract.prefix < b.contract.prefix;
-              }
-              return a.rule_prefix < b.rule_prefix;
-            });
+            report_order);
   summary.elapsed = std::chrono::steady_clock::now() - start;
   if (metrics_.coverage != nullptr) metrics_.coverage->set(summary.coverage());
   return summary;
+}
+
+bool report_order(const Violation& a, const Violation& b) {
+  if (a.device != b.device) return a.device < b.device;
+  if (a.contract.prefix != b.contract.prefix) {
+    return a.contract.prefix < b.contract.prefix;
+  }
+  return a.rule_prefix < b.rule_prefix;
 }
 
 VerifierFactory make_trie_verifier_factory(obs::MetricsRegistry* metrics) {

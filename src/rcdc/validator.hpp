@@ -82,6 +82,10 @@ class DatacenterValidator {
   StepMetrics metrics_;
 };
 
+/// The order DatacenterValidator::run() reports violations in: by device,
+/// then contract prefix, then violating rule prefix.
+[[nodiscard]] bool report_order(const Violation& a, const Violation& b);
+
 /// Convenience factories for the three engines. When `metrics` is non-null
 /// (it must outlive every verifier the factory creates), each produced
 /// verifier records dcv_verifier_check_ns and

@@ -23,7 +23,8 @@ namespace dcv::rcdc {
 /// fingerprint and the violations found, all keyed to one contract-plan
 /// epoch. A lookup tries pointer identity with the stored handle first
 /// (sources hand out the same object while a table is unchanged), then the
-/// fingerprint, and only then misses.
+/// fingerprint, and only then misses. On a miss the pinned table and its
+/// violations are what DeviceStep::recheck() diffs the new table against.
 ///
 /// Each device's entry may be touched by one thread at a time; different
 /// devices may be looked up and stored concurrently.
@@ -55,11 +56,17 @@ class VerdictCache {
 
   /// Records `device`'s verdict for a table with `fingerprint`. `table` may
   /// be null: the entry then matches by fingerprint only (and pins no
-  /// table). Returns the stored list.
+  /// table, so its next miss is checked in full). Returns the stored list.
   const std::vector<Violation>& store(topo::DeviceId device,
                                       routing::FibPtr table,
                                       std::uint64_t fingerprint,
                                       std::vector<Violation> violations);
+
+  /// The table `device`'s stored verdict belongs to; null when none is
+  /// stored or the entry was stored without one.
+  [[nodiscard]] const routing::FibPtr& table(topo::DeviceId device) const {
+    return entries_[device].table;
+  }
 
   /// The stored violations of `device` (empty when none are stored).
   [[nodiscard]] const std::vector<Violation>& violations(

@@ -1,6 +1,7 @@
 #include "routing/bgp_sim.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "exec/executor.hpp"
@@ -195,6 +196,7 @@ std::size_t BgpSimulator::route_state_bytes() const {
 }
 
 void BgpSimulator::invalidate_fib(topo::DeviceId device) {
+  (void)undo_entry(device);  // logs the handle before it is dropped
   {
     const std::lock_guard lock(fib_locks_[device % fib_locks_.size()]);
     fib_cache_[device].reset();
@@ -221,19 +223,19 @@ std::vector<topo::DeviceId> BgpSimulator::take_changed_devices() {
 void BgpSimulator::snapshot_state() {
   const auto& devices = topology_->devices();
   const auto& links = topology_->links();
-  snap_link_usable_.resize(links.size());
+  snap_.link_usable.resize(links.size());
   for (std::size_t l = 0; l < links.size(); ++l) {
-    snap_link_usable_[l] = links[l].usable() ? 1 : 0;
+    snap_.link_usable[l] = links[l].usable() ? 1 : 0;
   }
-  snap_reject_default_.assign(devices.size(), 0);
-  snap_fib_fault_.assign(devices.size(), 0);
-  snap_asn_.resize(devices.size());
-  snap_hosted_.resize(devices.size());
+  snap_.reject_default.assign(devices.size(), 0);
+  snap_.fib_fault.assign(devices.size(), 0);
+  snap_.asn.resize(devices.size());
+  snap_.hosted.resize(devices.size());
   for (const topo::Device& d : devices) {
     if (faults_ != nullptr) {
       if (faults_->device_has_fault(
               d.id, topo::DeviceFaultKind::kRejectDefaultRoute)) {
-        snap_reject_default_[d.id] = 1;
+        snap_.reject_default[d.id] = 1;
       }
       std::uint8_t sig = 0;
       if (faults_->device_has_fault(
@@ -244,18 +246,20 @@ void BgpSimulator::snapshot_state() {
               d.id, topo::DeviceFaultKind::kEcmpSingleNextHop)) {
         sig |= 2;
       }
-      snap_fib_fault_[d.id] = sig;
+      snap_.fib_fault[d.id] = sig;
     }
-    snap_asn_[d.id] = d.asn;
-    snap_hosted_[d.id] = d.hosted_prefixes;
+    snap_.asn[d.id] = d.asn;
+    snap_.hosted[d.id] = d.hosted_prefixes;
   }
 }
 
-bool BgpSimulator::diff_state(std::vector<topo::DeviceId>& seeds) {
+bool BgpSimulator::diff_state(const Snapshot& snapshot,
+                              std::vector<topo::DeviceId>& seeds,
+                              std::vector<topo::DeviceId>& fib_only) const {
   const auto& devices = topology_->devices();
   const auto& links = topology_->links();
-  if (devices.size() != snap_asn_.size() ||
-      links.size() != snap_link_usable_.size()) {
+  if (devices.size() != snapshot.asn.size() ||
+      links.size() != snapshot.link_usable.size()) {
     return false;  // expected shape changed: warm state is unusable
   }
 
@@ -269,7 +273,7 @@ bool BgpSimulator::diff_state(std::vector<topo::DeviceId>& seeds) {
 
   for (std::size_t l = 0; l < links.size(); ++l) {
     const std::uint8_t usable = links[l].usable() ? 1 : 0;
-    if (usable != snap_link_usable_[l]) {
+    if (usable != snapshot.link_usable[l]) {
       seed(links[l].a);
       seed(links[l].b);
     }
@@ -291,11 +295,11 @@ bool BgpSimulator::diff_state(std::vector<topo::DeviceId>& seeds) {
         sig |= 2;
       }
     }
-    if (reject != snap_reject_default_[d.id]) seed(d.id);
+    if (reject != snapshot.reject_default[d.id]) seed(d.id);
     // FIB-programming faults never touch the RIB; flipping one only stales
     // the materialized table.
-    if (sig != snap_fib_fault_[d.id]) invalidate_fib(d.id);
-    if (d.asn != snap_asn_[d.id]) {
+    if (sig != snapshot.fib_fault[d.id]) fib_only.push_back(d.id);
+    if (d.asn != snapshot.asn[d.id]) {
       // The device's own paths and its neighbors' loop checks both involve
       // this ASN.
       seed(d.id);
@@ -303,9 +307,75 @@ bool BgpSimulator::diff_state(std::vector<topo::DeviceId>& seeds) {
         seed(topology_->link(lid).other(d.id));
       }
     }
-    if (d.hosted_prefixes != snap_hosted_[d.id]) seed(d.id);
+    if (d.hosted_prefixes != snapshot.hosted[d.id]) seed(d.id);
   }
   return true;
+}
+
+BgpSimulator::UndoEntry* BgpSimulator::undo_entry(topo::DeviceId device) {
+  if (!trial_open_ || trial_cold_) return nullptr;
+  std::uint32_t& index = undo_index_[device];
+  if (index == kNotLogged) {
+    index = static_cast<std::uint32_t>(undo_.size());
+    UndoEntry& entry = undo_.emplace_back();
+    entry.device = device;
+    const std::lock_guard lock(fib_locks_[device % fib_locks_.size()]);
+    entry.fib = fib_cache_[device];
+  }
+  return &undo_[index];
+}
+
+void BgpSimulator::clear_undo_log() {
+  for (const UndoEntry& entry : undo_) undo_index_[entry.device] = kNotLogged;
+  undo_.clear();
+}
+
+void BgpSimulator::checkpoint() {
+  clear_undo_log();
+  undo_index_.resize(ribs_.size(), kNotLogged);
+  trial_open_ = true;
+  trial_cold_ = false;
+  checkpoint_snap_ = snap_;
+  checkpoint_changed_ = changed_list_;
+  checkpoint_rounds_ = rounds_;
+}
+
+void BgpSimulator::rollback() {
+  if (!trial_open_) throw std::logic_error("rollback() without checkpoint()");
+  std::vector<DeviceId> seeds;
+  std::vector<DeviceId> fib_only;
+  if (!diff_state(checkpoint_snap_, seeds, fib_only) || !seeds.empty() ||
+      !fib_only.empty()) {
+    throw std::logic_error(
+        "rollback() before the topology was restored to the checkpoint");
+  }
+  trial_open_ = false;
+  if (trial_cold_) {
+    ribs_.assign(topology_->device_count(), Rib{});
+    fib_cache_.clear();
+    fib_cache_.resize(topology_->device_count());
+    cold_run();
+    return;
+  }
+  for (UndoEntry& entry : undo_) {
+    const DeviceId d = entry.device;
+    if (entry.has_rib) {
+      std::swap(ribs_[d], entry.rib);
+      // Keep one displaced trial Rib's capacity in rotation.
+      if (merge_scratch_.memory_bytes() == 0) {
+        merge_scratch_ = std::move(entry.rib);
+      }
+    }
+    const std::lock_guard lock(fib_locks_[d % fib_locks_.size()]);
+    fib_cache_[d] = std::move(entry.fib);
+  }
+  clear_undo_log();
+  // The trial's marks go; the ones pending at checkpoint() come back.
+  for (const DeviceId d : changed_list_) changed_mark_[d] = 0;
+  changed_list_ = checkpoint_changed_;
+  for (const DeviceId d : changed_list_) changed_mark_[d] = 1;
+  std::swap(snap_, checkpoint_snap_);  // equal to the restored topology
+  rounds_ = checkpoint_rounds_;
 }
 
 void BgpSimulator::cold_run() {
@@ -339,13 +409,19 @@ void BgpSimulator::cold_run() {
 
 int BgpSimulator::reconverge() {
   std::vector<DeviceId> seeds;
-  if (!diff_state(seeds)) {
+  std::vector<DeviceId> fib_only;
+  if (!diff_state(snap_, seeds, fib_only)) {
+    if (trial_open_ && !trial_cold_) {
+      trial_cold_ = true;  // the log cannot describe a reshaped fabric
+      clear_undo_log();
+    }
     ribs_.assign(topology_->device_count(), Rib{});
     fib_cache_.clear();
     fib_cache_.resize(topology_->device_count());
     cold_run();
     return rounds_;
   }
+  for (const DeviceId d : fib_only) invalidate_fib(d);
   snapshot_state();  // import_ok reads the refreshed fault flags
   rounds_ = seeds.empty() ? 0 : run_worklist(std::move(seeds));
   publish_metrics(rounds_, /*warm=*/true);
@@ -416,6 +492,10 @@ int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
             ++fit;
           }
         }
+        if (UndoEntry* undo = undo_entry(d); undo != nullptr && !undo->has_rib) {
+          undo->rib = std::move(ribs_[d]);
+          undo->has_rib = true;
+        }
         ribs_[d] = std::move(results[i]);
       } else {
         // Partial recompute: the result holds entries for dirty prefixes
@@ -455,8 +535,14 @@ int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
           merge_scratch_.append_from(fresh, *fit);
         }
         // The displaced Rib becomes the next merge's scratch, keeping its
-        // entry and arena capacity in rotation.
+        // entry and arena capacity in rotation — unless it is the
+        // checkpoint's, which the open trial's log keeps.
         std::swap(ribs_[d], merge_scratch_);
+        if (UndoEntry* undo = undo_entry(d); undo != nullptr && !undo->has_rib) {
+          undo->rib = std::move(merge_scratch_);
+          undo->has_rib = true;
+          merge_scratch_ = Rib{};
+        }
       }
       invalidate_fib(d);
       for (const topo::LinkId lid : topology_->links_of(d)) {
@@ -559,7 +645,7 @@ bool BgpSimulator::process_device(const topo::Device& d, WorkerState& state,
       }
 
       // -- import policy of d --
-      if (snap_reject_default_[d.id] && entry.prefix.is_default()) {
+      if (snap_.reject_default[d.id] && entry.prefix.is_default()) {
         return;  // route-map misconfiguration (§2.6.2 "Policy Errors")
       }
       if (d.role == topo::DeviceRole::kRegionalSpine) {

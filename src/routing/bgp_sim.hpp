@@ -259,6 +259,25 @@ class BgpSimulator {
   /// nothing changed). Not thread-safe against concurrent rib()/fib().
   int reconverge();
 
+  /// Opens a trial at the converged state: until rollback(), each device's
+  /// first displaced Rib and its FIB handle as of now are moved into an undo
+  /// log instead of being recycled, so the trial's changes can be undone at
+  /// O(changed devices) cost. The state captured is the last convergence;
+  /// a topology mutated since then is part of the trial. Opening a new
+  /// trial drops the log of an open one, keeping its changes.
+  void checkpoint();
+
+  /// Undoes every reconverge() since checkpoint(): swaps the logged Ribs
+  /// and FIB handles back, so every rib(d) equals its checkpoint content
+  /// and every fib_handle(d) that was materialized then is the same
+  /// object again, and restores the changed-device set to what it was at
+  /// checkpoint(). The caller must first restore the topology (and fault
+  /// state) to the checkpoint; otherwise — or without an open trial —
+  /// throws std::logic_error and changes nothing. A trial that fell back
+  /// to a cold run is undone by another cold run, which marks every device
+  /// changed.
+  void rollback();
+
   /// The converged RIB of a device.
   [[nodiscard]] const Rib& rib(topo::DeviceId device) const;
 
@@ -318,13 +337,35 @@ class BgpSimulator {
   bool process_device(const topo::Device& device, WorkerState& state,
                       Rib& out,
                       const std::vector<net::Prefix>* dirty) const;
+  /// Everything route-affecting, as of a convergence.
+  struct Snapshot {
+    std::vector<std::uint8_t> link_usable;
+    std::vector<std::uint8_t> reject_default;
+    std::vector<std::uint8_t> fib_fault;
+    std::vector<topo::Asn> asn;
+    std::vector<std::vector<net::Prefix>> hosted;
+  };
+
+  /// One device's checkpoint state, logged on its first change in a trial.
+  struct UndoEntry {
+    topo::DeviceId device = topo::kInvalidDevice;
+    FibPtr fib;  // null when the table was not materialized
+    Rib rib;
+    bool has_rib = false;  // false while only the FIB was invalidated
+  };
+
   void snapshot_state();
-  /// Diffs current topology/fault state against the snapshot into a seed
-  /// frontier; returns false if the expected shape changed (cold rerun
-  /// needed). Devices whose FIB-only fault state flipped get their cached
-  /// table invalidated here.
-  bool diff_state(std::vector<topo::DeviceId>& seeds);
+  /// Diffs current topology/fault state against `snapshot`: devices whose
+  /// routes may change go to `seeds`, devices whose FIB-only fault state
+  /// flipped to `fib_only`. Returns false if the expected shape changed
+  /// (cold rerun needed).
+  bool diff_state(const Snapshot& snapshot, std::vector<topo::DeviceId>& seeds,
+                  std::vector<topo::DeviceId>& fib_only) const;
   void invalidate_fib(topo::DeviceId device);
+  /// The open trial's log entry of `device`, created (holding the current
+  /// FIB handle) on first use; null outside a trial or after it went cold.
+  UndoEntry* undo_entry(topo::DeviceId device);
+  void clear_undo_log();
   void publish_metrics(int rounds, bool warm);
 
   const topo::Topology* topology_;
@@ -351,12 +392,20 @@ class BgpSimulator {
   // commits stop allocating (single-threaded use only).
   Rib merge_scratch_;
 
-  // Snapshot of everything route-affecting, diffed by reconverge().
-  std::vector<std::uint8_t> snap_link_usable_;
-  std::vector<std::uint8_t> snap_reject_default_;
-  std::vector<std::uint8_t> snap_fib_fault_;
-  std::vector<topo::Asn> snap_asn_;
-  std::vector<std::vector<net::Prefix>> snap_hosted_;
+  // State of the last convergence, diffed by reconverge().
+  Snapshot snap_;
+
+  // The open trial (checkpoint() .. rollback()): the undo log with each
+  // logged device's index in it (kNotLogged otherwise), and the state
+  // rollback() restores besides the logged devices.
+  static constexpr std::uint32_t kNotLogged = ~std::uint32_t{0};
+  bool trial_open_ = false;
+  bool trial_cold_ = false;  // the trial fell back to a cold run: no log
+  std::vector<UndoEntry> undo_;
+  std::vector<std::uint32_t> undo_index_;
+  Snapshot checkpoint_snap_;
+  std::vector<topo::DeviceId> checkpoint_changed_;
+  int checkpoint_rounds_ = 0;
 
   // Lazily materialized per-device FIBs, striped locks for concurrent
   // fetches.

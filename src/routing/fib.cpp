@@ -7,11 +7,13 @@ namespace dcv::routing {
 namespace {
 
 /// Canonical FIB order: longest prefixes first, then by prefix value.
+bool prefix_order(const net::Prefix& a, const net::Prefix& b) {
+  if (a.length() != b.length()) return a.length() > b.length();
+  return a < b;
+}
+
 bool rule_order(const Rule& a, const Rule& b) {
-  if (a.prefix.length() != b.prefix.length()) {
-    return a.prefix.length() > b.prefix.length();
-  }
-  return a.prefix < b.prefix;
+  return prefix_order(a.prefix, b.prefix);
 }
 
 }  // namespace
@@ -53,6 +55,25 @@ const Rule* ForwardingTable::find(const net::Prefix& prefix) const {
       std::lower_bound(rules_.begin(), rules_.end(), probe, rule_order);
   if (it != rules_.end() && it->prefix == prefix) return &*it;
   return nullptr;
+}
+
+void diff_rules(const ForwardingTable& before, const ForwardingTable& after,
+                std::vector<net::Prefix>& changed) {
+  auto b = before.rules().begin();
+  auto a = after.rules().begin();
+  const auto b_end = before.rules().end();
+  const auto a_end = after.rules().end();
+  while (b != b_end || a != a_end) {
+    if (a == a_end || (b != b_end && rule_order(*b, *a))) {
+      changed.push_back((b++)->prefix);  // withdrawn
+    } else if (b == b_end || rule_order(*a, *b)) {
+      changed.push_back((a++)->prefix);  // added
+    } else {
+      if (*a != *b) changed.push_back(a->prefix);  // re-hopped
+      ++a;
+      ++b;
+    }
+  }
 }
 
 }  // namespace dcv::routing

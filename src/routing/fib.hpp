@@ -70,6 +70,14 @@ class ForwardingTable {
   std::vector<Rule> rules_;
 };
 
+/// Appends to `changed` the prefix of every rule that differs between two
+/// tables: present in only one of them, or in both with other next hops or
+/// another connected flag. One merge walk over the two canonically sorted
+/// rule vectors, O(|before| + |after|); the prefixes come out in canonical
+/// order.
+void diff_rules(const ForwardingTable& before, const ForwardingTable& after,
+                std::vector<net::Prefix>& changed);
+
 /// A shared, immutable handle to one device's FIB. Handles are how tables
 /// move between layers (simulator cache → fetch decorators → validators)
 /// without copying; two handles to the same object mean the same content.

@@ -112,6 +112,9 @@ TEST(MonitoringPipeline, ThrowingFetchSurfacesFromRunCycle) {
   MonitoringPipeline pipeline(metadata, fibs, make_trie_verifier_factory(),
                               fast_config());
   EXPECT_THROW((void)pipeline.run_cycle(), std::runtime_error);
+  // The failed cycle is over: health and /readyz must not report it as
+  // still running.
+  EXPECT_FALSE(pipeline.health().cycle_in_progress);
 }
 
 // A verifier that throws takes its validator down: the queue closes, so

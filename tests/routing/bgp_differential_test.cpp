@@ -4,11 +4,13 @@
 // reconvergence must produce byte-equal RIBs and FIBs to a cold reference
 // run on the mutated topology — at thread count 1 and at thread count N.
 //
-// The BgpParallel suite at the bottom is additionally run under
-// ThreadSanitizer in CI; keep its tests self-contained and thread-heavy.
+// The BgpParallel and BgpCheckpoint suites at the bottom are additionally
+// run under ThreadSanitizer in CI; keep their tests self-contained.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
+#include <stdexcept>
 #include <thread>
 
 #include "net/error.hpp"
@@ -308,6 +310,158 @@ TEST(BgpParallel, ReconvergeChurnWithConcurrentFibFetches) {
   for (const topo::Device& device : topology.devices()) {
     ASSERT_EQ(sim.rib(device.id), ref.rib(device.id)) << device.name;
   }
+}
+
+// ---------------------------------------------------------------------------
+// BgpCheckpoint.* — a trial undone from the undo log leaves exactly the
+// checkpoint: every RIB equal to a cold run on the base topology, every
+// materialized FIB handle the same object, no changed-device marks. Each
+// case runs at 1 and at 4 threads; the 4-thread run sends every frontier
+// through the parallel path into the log (exercised under TSan in CI).
+
+Topology checkpoint_fabric() {
+  return topo::build_clos(ClosParams{.clusters = 3,
+                                     .tors_per_cluster = 3,
+                                     .leaves_per_cluster = 3,
+                                     .spines_per_plane = 2,
+                                     .regional_spines = 4});
+}
+
+topo::LinkId link_between(const Topology& topology, DeviceId a, DeviceId b) {
+  return *topology.find_link(a, b);
+}
+
+/// checkpoint → each step of `trial` followed by a reconverge → restore
+/// the topology → rollback, then compares against the checkpoint. The
+/// simulator must then still reconverge the same change correctly.
+void expect_trial_undone(
+    const std::vector<std::function<void(Topology&)>>& trial) {
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const Topology base = checkpoint_fabric();
+    Topology topology = base;
+    BgpSimulator sim(topology, nullptr, nullptr,
+                     BgpSimOptions{.threads = threads,
+                                   .parallel_threshold = 1});
+    std::vector<FibPtr> handles;
+    for (const topo::Device& device : topology.devices()) {
+      handles.push_back(sim.fib_handle(device.id));
+    }
+    (void)sim.take_changed_devices();
+
+    sim.checkpoint();
+    for (const auto& step : trial) {
+      step(topology);
+      ASSERT_GT(sim.reconverge(), 0);
+    }
+    ASSERT_FALSE(sim.take_changed_devices().empty());
+    topology = base;
+    sim.rollback();
+
+    const ReferenceBgpSimulator cold(base);
+    for (const topo::Device& device : topology.devices()) {
+      ASSERT_EQ(sim.rib(device.id), cold.rib(device.id)) << device.name;
+      ASSERT_EQ(sim.fib_handle(device.id), handles[device.id]) << device.name;
+    }
+    EXPECT_TRUE(sim.take_changed_devices().empty());
+
+    // The restored diff state seeds the next change exactly.
+    for (const auto& step : trial) step(topology);
+    ASSERT_GT(sim.reconverge(), 0);
+    const ReferenceBgpSimulator changed(topology);
+    for (const topo::Device& device : topology.devices()) {
+      ASSERT_EQ(sim.rib(device.id), changed.rib(device.id)) << device.name;
+      ASSERT_EQ(sim.fib(device.id), changed.fib(device.id)) << device.name;
+    }
+  }
+}
+
+TEST(BgpCheckpoint, LinkShutIsUndone) {
+  expect_trial_undone({[](Topology& topology) {
+    topology.set_bgp_state(link_between(topology,
+                                        topology.tors_in_cluster(0)[0],
+                                        topology.leaves_in_cluster(0)[0]),
+                           topo::BgpSessionState::kAdminShutdown);
+  }});
+}
+
+TEST(BgpCheckpoint, LinkDownIsUndone) {
+  expect_trial_undone({[](Topology& topology) {
+    const DeviceId leaf = topology.leaves_in_cluster(1)[0];
+    const DeviceId spine = topology.link(topology.links_of(leaf).back()).other(leaf);
+    topology.set_link_state(link_between(topology, leaf, spine),
+                            topo::LinkState::kDown);
+  }});
+}
+
+TEST(BgpCheckpoint, AsnReassignmentIsUndone) {
+  // The §2.6.2 migration misconfiguration: a leaf takes another cluster's
+  // leaf ASN.
+  expect_trial_undone({[](Topology& topology) {
+    topology.set_asn(topology.leaves_in_cluster(1)[0],
+                     topology.device(topology.leaves_in_cluster(0)[0]).asn);
+  }});
+}
+
+TEST(BgpCheckpoint, TwoLinkChangeOverTwoReconvergesIsUndone) {
+  expect_trial_undone(
+      {[](Topology& topology) {
+         topology.set_bgp_state(
+             link_between(topology, topology.tors_in_cluster(2)[1],
+                          topology.leaves_in_cluster(2)[0]),
+             topo::BgpSessionState::kAdminShutdown);
+       },
+       [](Topology& topology) {
+         topology.set_link_state(
+             link_between(topology, topology.tors_in_cluster(2)[1],
+                          topology.leaves_in_cluster(2)[1]),
+             topo::LinkState::kDown);
+       }});
+}
+
+TEST(BgpCheckpoint, RefusesAnUnrestoredTopology) {
+  const Topology base = checkpoint_fabric();
+  Topology topology = base;
+  BgpSimulator sim(topology);
+  EXPECT_THROW(sim.rollback(), std::logic_error);  // no trial open
+
+  const topo::LinkId link = link_between(
+      topology, topology.tors_in_cluster(0)[0], topology.leaves_in_cluster(0)[0]);
+  sim.checkpoint();
+  topology.set_bgp_state(link, topo::BgpSessionState::kAdminShutdown);
+  ASSERT_GT(sim.reconverge(), 0);
+  EXPECT_THROW(sim.rollback(), std::logic_error);
+  // The refusal changed nothing: the trial's state stands...
+  const ReferenceBgpSimulator trial(topology);
+  for (const topo::Device& device : topology.devices()) {
+    ASSERT_EQ(sim.rib(device.id), trial.rib(device.id)) << device.name;
+  }
+  // ...and the trial is still open for a proper rollback.
+  topology = base;
+  sim.rollback();
+  const ReferenceBgpSimulator cold(base);
+  for (const topo::Device& device : topology.devices()) {
+    ASSERT_EQ(sim.rib(device.id), cold.rib(device.id)) << device.name;
+  }
+}
+
+TEST(BgpCheckpoint, ColdTrialIsUndoneByAColdRun) {
+  const Topology base = checkpoint_fabric();
+  Topology topology = base;
+  BgpSimulator sim(topology);
+  sim.checkpoint();
+  const DeviceId extra = topology.add_device(
+      "extra-regional", DeviceRole::kRegionalSpine, 63099);
+  topology.add_link(extra, topology.devices_with_role(DeviceRole::kSpine)[0]);
+  ASSERT_GT(sim.reconverge(), 0);  // a reshaped fabric converges cold
+  topology = base;
+  sim.rollback();
+  const ReferenceBgpSimulator cold(base);
+  for (const topo::Device& device : topology.devices()) {
+    ASSERT_EQ(sim.rib(device.id), cold.rib(device.id)) << device.name;
+    ASSERT_EQ(sim.fib(device.id), cold.fib(device.id)) << device.name;
+  }
+  EXPECT_EQ(sim.reconverge(), 0);
 }
 
 }  // namespace
