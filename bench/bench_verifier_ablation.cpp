@@ -3,9 +3,11 @@
 // Paper claims reproduced in shape:
 //  * §2.5: the Z3 bit-vector engine verifies a device's routing table
 //    "within a second";
-//  * §2.5.2/§2.6.3: the specialized trie engine is much faster — "RCDC
-//    takes 180ms to verify all contracts on a single device on average",
-//    enabling datacenter-scale validation on modest CPU resources.
+//  * §2.5.2/§2.6.3: the specialized engine is much faster — "RCDC takes
+//    180ms to verify all contracts on a single device on average",
+//    enabling datacenter-scale validation on modest CPU resources. Here
+//    the specialized engine is TrieVerifier, which runs the hash-trie's
+//    related-rule walk as binary searches over the sorted table.
 //
 // Each benchmark verifies *all* contracts of one ToR whose FIB holds
 // `range` rules (one route per hosted prefix, as in production).
@@ -79,7 +81,7 @@ BENCHMARK(BM_TrieVerifier_Device)
     ->Unit(benchmark::kMillisecond);
 
 /// Same semantics as the trie engine, candidates found by a linear scan:
-/// quantifies what the §2.5.2 hash-trie buys.
+/// quantifies what an index over the policy (§2.5.2) buys.
 void BM_LinearVerifier_Device(benchmark::State& state) {
   const DeviceWorkload workload = make_workload(state.range(0));
   rcdc::LinearVerifier verifier;

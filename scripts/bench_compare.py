@@ -5,13 +5,16 @@ Compares two BENCH_<name>.json files (written by any bench's `--json OUT`)
 and exits non-zero when a hot-path metric regressed beyond the threshold
 (default 15%). A metric gates only if its `better` direction is "lower" or
 "higher"; "none" metrics are informational and printed but never fail the
-comparison. The gated statistic is p50, falling back to mean when the
+comparison. A gated baseline metric that the current snapshot no longer
+carries fails the comparison too: a bench that renames or stops emitting a
+gated metric would otherwise lose its gate silently. The gated statistic is p50, falling back to mean when the
 snapshot carries a single sample (for count == 1 they coincide).
 
 Usage:
     bench_compare.py BASELINE.json CURRENT.json [--threshold 0.15]
 
-Exit codes: 0 ok, 1 regression(s) found, 2 usage / malformed snapshot.
+Exit codes: 0 ok, 1 regression(s) or missing gated metric(s), 2 usage /
+malformed snapshot.
 
 Checked-in baselines and how to refresh them
 --------------------------------------------
@@ -80,14 +83,18 @@ def main():
           f"{'delta':>8}  verdict")
 
     regressions = []
+    missing = []
     compared = 0
     for name, base_metric in sorted(base["metrics"].items()):
         curr_metric = curr["metrics"].get(name)
-        if curr_metric is None:
-            print(f"  {name:<42} {'':>12} {'':>12} {'':>8}  "
-                  "MISSING in current (skipped)")
-            continue
         better = base_metric.get("better", "none")
+        if curr_metric is None:
+            gated = better in ("lower", "higher")
+            if gated:
+                missing.append(name)
+            print(f"  {name:<42} {'':>12} {'':>12} {'':>8}  "
+                  f"MISSING in current ({'FAIL' if gated else 'info'})")
+            continue
         base_value = gate_value(base_metric)
         curr_value = gate_value(curr_metric)
         if base_value is None or curr_value is None:
@@ -115,11 +122,15 @@ def main():
     for name in new_metrics:
         print(f"  {name:<42} (new metric, not gated)")
 
+    if missing:
+        print(f"\nbench_compare: FAIL — {len(missing)} gated baseline "
+              f"metrics missing in current: {', '.join(missing)}")
     if regressions:
         print(f"\nbench_compare: FAIL — {len(regressions)} of {compared} "
               f"gated metrics regressed > {100 * args.threshold:.0f}%:")
         for name, delta in regressions:
             print(f"  {name}: {100 * delta:+.1f}%")
+    if missing or regressions:
         return 1
     print(f"\nbench_compare: ok — {compared} gated metrics within "
           f"{100 * args.threshold:.0f}%")

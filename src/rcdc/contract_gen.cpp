@@ -161,9 +161,9 @@ ContractPlan::ContractPlan(std::uint64_t epoch,
                            std::vector<DeviceContracts> devices)
     : epoch_(epoch), devices_(std::move(devices)) {
   for (DeviceContracts& entry : devices_) {
-    // Trie-walk order: default contracts first (checked against the default
-    // rule, no trie walk), then specific contracts in ascending prefix
-    // order so successive walks revisit warm trie paths.
+    // Check order: default contracts first (checked against the default
+    // rule, no walk), then specific contracts in ascending prefix order so
+    // successive walks search nearby rules of the sorted table.
     std::stable_sort(entry.contracts.begin(), entry.contracts.end(),
                      [](const Contract& a, const Contract& b) {
                        const bool a_default = a.kind == ContractKind::kDefault;

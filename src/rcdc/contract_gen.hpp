@@ -19,9 +19,9 @@ struct ContractGenOptions {
 };
 
 /// A precompiled, immutable verification plan for one topology epoch:
-/// every device's contract set, pre-ordered in trie-walk order (default
-/// contracts first, then specific contracts in ascending prefix order — the
-/// address order in which the policy trie is traversed). One plan is built
+/// every device's contract set, pre-ordered in check order (default
+/// contracts first, then specific contracts in ascending prefix order, so
+/// successive §2.5.2 walks search nearby rules). One plan is built
 /// per expected-topology epoch and shared across worker threads and
 /// monitoring cycles via shared_ptr; the §2.5.2 hot path consumes plans
 /// instead of re-deriving contracts from metadata per device per cycle.
@@ -42,7 +42,7 @@ class ContractPlan {
     return devices_;
   }
 
-  /// One device's contracts in trie-walk order (empty span for
+  /// One device's contracts in check order (empty span for
   /// contract-free devices or out-of-range ids).
   [[nodiscard]] std::span<const Contract> contracts_for(
       topo::DeviceId device) const {

@@ -4,18 +4,19 @@
 
 namespace dcv::rcdc {
 
-/// Ablation baseline for the trie engine: identical semantics, but the
-/// candidate set of §2.5.2,
+/// The oracle and ablation baseline for the trie engine: identical
+/// semantics, but the candidate set of §2.5.2,
 ///
 ///   { r | C.range ⊆ r.prefix ∨ r.prefix ⊆ C.range },
 ///
-/// is collected by a linear scan over the whole policy instead of a trie
-/// traversal. Per-contract cost is O(|policy|) instead of O(depth +
-/// |related|), so verifying all contracts of a device is quadratic in its
-/// table size — this engine exists to quantify exactly what the
-/// hash-trie buys (§2.5.2: "Collecting this set of rules is efficient ...
-/// because traversal of the hash-trie can be limited to nodes that
-/// correspond to rules that are returned").
+/// is collected by a linear scan over the whole policy instead of the trie
+/// engine's binary searches into it. Per-contract cost is O(|policy|)
+/// instead of O(33 log |policy| + |related|), so verifying all contracts of
+/// a device is quadratic in its table size — this engine exists to check
+/// the fast engine and to quantify what an index over the policy buys
+/// (§2.5.2: "Collecting this set of rules is efficient ... because
+/// traversal of the hash-trie can be limited to nodes that correspond to
+/// rules that are returned").
 class LinearVerifier final : public Verifier {
  public:
   [[nodiscard]] std::vector<Violation> check(

@@ -79,8 +79,9 @@ class PrecheckPipeline {
 
   [[nodiscard]] PrecheckResult check(const NetworkChange& change) const;
 
-  /// Checks a sequence of changes as one rollout, stopping at the first
-  /// rejection (later steps usually depend on earlier ones).
+  /// Checks each change of a sequence independently against production
+  /// (a step does not see the steps before it applied), stopping at the
+  /// first rejection.
   [[nodiscard]] std::vector<PrecheckResult> check_rollout(
       const std::vector<NetworkChange>& changes) const;
 

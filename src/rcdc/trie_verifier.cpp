@@ -1,5 +1,9 @@
 #include "rcdc/trie_verifier.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+
 #include "net/interval.hpp"
 
 namespace dcv::rcdc {
@@ -32,24 +36,23 @@ std::vector<Violation> TrieVerifier::check(
     topo::DeviceId device) {
   std::vector<Violation> violations;
 
-  // Rebuild the policy trie into the retained arena (§2.5.2: "We represent
-  // prefix-based routing policies into a hash-trie"). After the first few
-  // devices the arena has grown to the working-set size and rebuilds stop
-  // allocating.
-  const std::size_t capacity_before = policy_.node_capacity();
-  policy_.clear();
-  policy_.reserve(fib.rules().size() * 2);
-  for (const routing::Rule& rule : fib.rules()) {
-    policy_.insert(rule.prefix, &rule);
+  // The rules are sorted longest first, then by network: the rules of
+  // length L are [below[L + 1], below[L]), where below[L] counts the rules
+  // of length >= L.
+  const std::vector<routing::Rule>& rules = fib.rules();
+  std::array<std::size_t, 34> below{};
+  for (int length = 32; length >= 0; --length) {
+    below[length] = static_cast<std::size_t>(
+        std::partition_point(rules.begin() + below[length + 1], rules.end(),
+                             [length](const routing::Rule& rule) {
+                               return rule.prefix.length() >= length;
+                             }) -
+        rules.begin());
   }
-  if (metrics_.rebuilds != nullptr) metrics_.rebuilds->inc();
-  if (metrics_.arena_growth != nullptr &&
-      policy_.node_capacity() > capacity_before) {
-    metrics_.arena_growth->inc();
-  }
-  if (metrics_.arena_nodes != nullptr) {
-    metrics_.arena_nodes->set(static_cast<double>(policy_.node_capacity()));
-  }
+  const auto by_network = [](const routing::Rule& rule,
+                             std::uint32_t network) {
+    return rule.prefix.network().value() < network;
+  };
 
   for (const Contract& contract : contracts) {
     if (contract.kind == ContractKind::kDefault) {
@@ -57,57 +60,66 @@ std::vector<Violation> TrieVerifier::check(
       continue;
     }
 
-    // Candidate rules related to the contract range, in descending order of
-    // prefix length (the walk order of §2.5.2) via the trie's counting
-    // sort; both buffers are retained across contracts and devices.
-    policy_.related_ordered(contract.prefix, candidates_, scratch_);
-
     const auto range = net::AddressInterval::from_prefix(contract.prefix);
+    const std::uint32_t lo = contract.prefix.first().value();
+    const std::uint32_t hi = contract.prefix.last().value();
     net::IntervalSet covered;  // the list L of §2.5.2, as an interval union
     bool complete = false;
     std::uint64_t walked = 0;
-    for (const auto& [rule_prefix, rule] : candidates_) {
+    // Walks one candidate rule; true once the walked rules cover the range
+    // (the stop condition of §2.5.2).
+    const auto walk = [&](const routing::Rule& rule) {
       ++walked;
       // The slice of the contract range this rule can match: the rule's
       // prefix if it nests inside the range, the whole range otherwise
       // (prefixes never partially overlap).
-      const auto slice = contract.prefix.contains(rule_prefix)
-                             ? net::AddressInterval::from_prefix(rule_prefix)
+      const auto slice = contract.prefix.contains(rule.prefix)
+                             ? net::AddressInterval::from_prefix(rule.prefix)
                              : range;
       // Longer rules walked earlier may already shadow this rule within the
       // contract range; a shadowed rule cannot violate the contract.
       if (!covered.covers(slice)) {
-        const routing::Rule& r = **rule;
         const bool default_disallowed =
-            r.prefix.is_default() && !contract.allow_default_route;
-        if (!r.connected &&
-            (default_disallowed || !hops_satisfy(r.next_hops, contract))) {
+            rule.prefix.is_default() && !contract.allow_default_route;
+        if (!rule.connected &&
+            (default_disallowed || !hops_satisfy(rule.next_hops, contract))) {
           violations.push_back(Violation{
               .device = device,
               .contract = contract,
               .kind = default_disallowed
                           ? ViolationKind::kSpecificViaDefaultRoute
                           : ViolationKind::kWrongNextHops,
-              .rule_prefix = r.prefix,
-              .actual_next_hops = r.next_hops});
+              .rule_prefix = rule.prefix,
+              .actual_next_hops = rule.next_hops});
         }
       }
       covered.add(slice);
-      if (covered.covers(range)) {  // the stop condition of §2.5.2
-        complete = true;
-        break;
+      return covered.covers(range);
+    };
+
+    // The related rules of length L have their network in [lo, hi] masked
+    // to L: for L at least the contract's length, the run of bucket L
+    // inside the range; for a shorter L, the one rule that covers it.
+    for (int length = 32; length >= 0 && !complete; --length) {
+      const std::uint32_t mask =
+          length == 0 ? 0 : ~std::uint32_t{0} << (32 - length);
+      const auto last = rules.begin() + below[length];
+      auto it = std::lower_bound(rules.begin() + below[length + 1], last,
+                                 lo & mask, by_network);
+      for (; !complete && it != last &&
+             it->prefix.network().value() <= (hi & mask);
+           ++it) {
+        complete = walk(*it);
       }
     }
-    if (!complete && !covered.covers(range)) {
+    if (!complete) {
       violations.push_back(Violation{.device = device,
                                      .contract = contract,
                                      .kind = ViolationKind::kUnreachableRange,
                                      .rule_prefix = contract.prefix,
                                      .actual_next_hops = {}});
     }
-    if (metrics_.rules_walked != nullptr) {
-      metrics_.rules_walked->observe(walked);
-    }
+    if (rules_walked_ != nullptr) rules_walked_->observe(walked);
   }
   return violations;
 }

@@ -4,64 +4,43 @@
 
 #include "obs/metrics.hpp"
 #include "rcdc/verifier.hpp"
-#include "trie/prefix_trie.hpp"
 
 namespace dcv::rcdc {
 
-/// Registry handles for the trie engine's hot-path series; all-null when
-/// uninstrumented, so every record site is one branch.
-struct TrieVerifierMetrics {
-  /// One sample per specific contract: candidate rules actually walked
-  /// before the §2.5.2 coverage stop condition fired.
-  obs::Histogram* rules_walked = nullptr;
-  /// dcv_trie_rebuilds_total: policy-trie rebuilds into the retained arena.
-  obs::Counter* rebuilds = nullptr;
-  /// dcv_trie_arena_growth_total: rebuilds that had to grow the node arena
-  /// (steady state should see almost none — the arena is retained).
-  obs::Counter* arena_growth = nullptr;
-  /// dcv_trie_arena_nodes: node-arena capacity after the latest rebuild.
-  obs::Gauge* arena_nodes = nullptr;
-};
-
-/// The specialized fast engine of §2.5.2. For each policy it builds a
-/// prefix trie once; for each contract C it collects the related rule set
+/// The specialized fast engine of §2.5.2. For each contract C it walks the
+/// related rule set
 ///
-///   { r | C.range ⊆ r.prefix ∨ r.prefix ⊆ C.range },
+///   { r | C.range ⊆ r.prefix ∨ r.prefix ⊆ C.range }
 ///
-/// walks it in descending prefix-length order, flags rules whose next hops
-/// do not match the contract, accumulates covered address space, and stops
-/// as soon as the union of walked prefixes covers C.range.
+/// in descending prefix-length order, flags rules whose next hops do not
+/// match the contract, accumulates covered address space, and stops as soon
+/// as the union of walked prefixes covers C.range.
+///
+/// The paper keeps the policy in a hash-trie, where the related set is one
+/// root-to-range path plus one subtree. The ForwardingTable's own order
+/// (descending length, then network) already is that index: inside one
+/// length bucket the rules C contains are one contiguous run, and the rule
+/// that covers C at each shorter length is one exact match. So the walk is
+/// at most 33 binary searches over fib.rules(), with nothing to build.
 ///
 /// One refinement over the paper's listing: a rule is only flagged if it is
 /// actually the longest-prefix match of some address in C.range (i.e. its
 /// intersection with the range is not already covered by longer rules) —
 /// this makes the engine agree exactly with the SMT engine's semantics,
 /// which property tests assert.
-///
-/// The verifier is stateful across check() calls (one instance per worker
-/// thread): the policy trie and candidate buffers are retained, so each
-/// device rebuilds into the previous device's arena — the steady-state hot
-/// path allocates nothing, and the candidate walk order comes from the
-/// trie's 33-way counting sort instead of a per-contract std::sort.
 class TrieVerifier final : public Verifier {
  public:
-  /// Back-compat convenience: instrument only the rules-walked histogram.
+  /// `rules_walked`, when set, gets one sample per specific contract: the
+  /// candidate rules walked before the §2.5.2 coverage stop fired.
   explicit TrieVerifier(obs::Histogram* rules_walked = nullptr)
-      : TrieVerifier(TrieVerifierMetrics{.rules_walked = rules_walked}) {}
-
-  explicit TrieVerifier(TrieVerifierMetrics metrics) : metrics_(metrics) {}
+      : rules_walked_(rules_walked) {}
 
   [[nodiscard]] std::vector<Violation> check(
       const routing::ForwardingTable& fib, std::span<const Contract> contracts,
       topo::DeviceId device) override;
 
  private:
-  using Policy = trie::PrefixTrie<const routing::Rule*>;
-
-  TrieVerifierMetrics metrics_;
-  Policy policy_;
-  std::vector<Policy::Entry> candidates_;
-  std::vector<Policy::Entry> scratch_;
+  obs::Histogram* rules_walked_;
 };
 
 }  // namespace dcv::rcdc

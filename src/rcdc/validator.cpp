@@ -140,23 +140,13 @@ bool report_order(const Violation& a, const Violation& b) {
 VerifierFactory make_trie_verifier_factory(obs::MetricsRegistry* metrics) {
   return instrumented_factory(
       metrics, "trie", [](obs::MetricsRegistry* registry) {
-        TrieVerifierMetrics trie_metrics;
-        if (registry != nullptr) {
-          trie_metrics.rules_walked = &registry->histogram(
-              "dcv_verifier_rules_walked",
-              "Candidate rules walked per specific contract",
-              {{"engine", "trie"}});
-          trie_metrics.rebuilds = &registry->counter(
-              "dcv_trie_rebuilds_total",
-              "Policy-trie rebuilds into a retained node arena");
-          trie_metrics.arena_growth = &registry->counter(
-              "dcv_trie_arena_growth_total",
-              "Trie rebuilds that had to grow the node arena");
-          trie_metrics.arena_nodes = &registry->gauge(
-              "dcv_trie_arena_nodes",
-              "Node-arena capacity after the latest trie rebuild");
-        }
-        return std::make_unique<TrieVerifier>(trie_metrics);
+        return std::make_unique<TrieVerifier>(
+            registry == nullptr
+                ? nullptr
+                : &registry->histogram(
+                      "dcv_verifier_rules_walked",
+                      "Candidate rules walked per specific contract",
+                      {{"engine", "trie"}}));
       });
 }
 
