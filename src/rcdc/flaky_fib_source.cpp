@@ -32,33 +32,31 @@ double to_unit(std::uint64_t h) {
 /// what a pull cut off mid-stream looks like.
 routing::ForwardingTable truncate_table(const routing::ForwardingTable& full,
                                         std::uint64_t h) {
-  routing::ForwardingTable out;
-  if (full.empty()) return out;
+  if (full.empty()) return {};
   // Keep 30-79% of the rules, at least one.
   const std::size_t keep = std::max<std::size_t>(
       1, full.size() * (30 + h % 50) / 100);
-  for (std::size_t i = 0; i < keep; ++i) out.add(full.rules()[i]);
-  return out;
+  return routing::ForwardingTable(std::vector<routing::Rule>(
+      full.rules().begin(),
+      full.rules().begin() + static_cast<std::ptrdiff_t>(keep)));
 }
 
 /// Damages one rule's next-hop set (drops a hop), or drops the rule
 /// entirely when it has a single hop — a flipped entry in the pulled text.
 routing::ForwardingTable corrupt_table(const routing::ForwardingTable& full,
                                        std::uint64_t h) {
-  routing::ForwardingTable out;
-  if (full.empty()) return out;
-  const std::size_t victim = h % full.size();
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    routing::Rule rule = full.rules()[i];
-    if (i == victim) {
-      if (rule.next_hops.size() <= 1) continue;  // rule lost entirely
-      rule.next_hops.erase(rule.next_hops.begin() +
-                           static_cast<std::ptrdiff_t>(
-                               (h >> 8) % rule.next_hops.size()));
-    }
-    out.add(std::move(rule));
+  if (full.empty()) return {};
+  std::vector<routing::Rule> rules = full.rules();
+  const auto victim = rules.begin() + static_cast<std::ptrdiff_t>(
+                                          h % rules.size());
+  std::vector<topo::DeviceId>& hops = victim->next_hops;
+  if (hops.size() <= 1) {
+    rules.erase(victim);  // rule lost entirely
+  } else {
+    hops.erase(hops.begin() +
+               static_cast<std::ptrdiff_t>((h >> 8) % hops.size()));
   }
-  return out;
+  return routing::ForwardingTable(std::move(rules));
 }
 
 /// The fault drawn by one uniform draw `u`, rates taken cumulatively in

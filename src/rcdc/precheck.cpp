@@ -101,15 +101,16 @@ PrecheckSession::PrecheckSession(const topo::Topology& production,
       plan_(ContractGenerator(intent_, options).plan()),
       simulator_(emulated_, nullptr, nullptr, {.threads = threads_}),
       verifier_factory_(make_trie_verifier_factory()),
-      steps_(threads_) {
+      steps_(threads_),
+      fib_scratch_(threads_) {
   if (metrics != nullptr) {
     const auto phase = [metrics](const char* name) {
       return &metrics->histogram(
           "dcv_precheck_phase_ns",
           "Per-change precheck time, by phase: reconverge (apply + warm "
-          "reconverge), diff (new tables and baseline lookups) and verify "
-          "(delta recheck), each summed over the changed devices, and "
-          "rollback (topology restore + undo log)",
+          "reconverge), diff (new tables and their exact compare with the "
+          "baseline) and verify (delta recheck), each summed over the "
+          "changed devices, and rollback (topology restore + undo log)",
           {{"phase", name}});
     };
     reconverge_ns_ = phase("reconverge");
@@ -123,25 +124,22 @@ PrecheckSession::PrecheckSession(const topo::Topology& production,
   }
   // The one cold pass: converge (done by the simulator constructor),
   // validate everything, and pin every device's baseline table with its
-  // verdict. Rollback restores these very handles, so unchanged devices
-  // match by identity and changed ones recheck against them.
-  const std::size_t devices = base_.device_count();
-  std::vector<routing::FibPtr> tables(devices);
-  std::vector<std::vector<Violation>> found(devices);
-  exec::for_each(threads_, devices, [&](unsigned worker, std::size_t d) {
+  // verdict. Rollback restores these very handles to the simulator's cache;
+  // a changed device's new table is compared with its baseline table.
+  baseline_.resize(base_.device_count());
+  exec::for_each(threads_, baseline_.size(), [&](unsigned worker,
+                                                 std::size_t d) {
     const auto device = static_cast<topo::DeviceId>(d);
-    tables[d] = simulator_.fib_handle(device);
+    Baseline& base = baseline_[d];
+    base.table = simulator_.fib_handle(device);
     const std::span<const Contract> contracts = plan_->contracts_for(device);
     if (!contracts.empty()) {
-      found[d] = step(worker).check(device, contracts, tables[d], false);
+      base.violations = step(worker).check(device, contracts, base.table,
+                                           false);
     }
   });
-  baseline_.set_epoch(base_epoch_, devices);
-  for (std::size_t d = 0; d < devices; ++d) {
-    baseline_total_ += found[d].size();
-    const std::uint64_t print = fingerprint(*tables[d]);
-    (void)baseline_.store(static_cast<topo::DeviceId>(d), std::move(tables[d]),
-                          print, std::move(found[d]));
+  for (const Baseline& base : baseline_) {
+    baseline_total_ += base.violations.size();
   }
   (void)simulator_.take_changed_devices();  // the cold run marked everything
 }
@@ -194,12 +192,13 @@ PrecheckResult PrecheckSession::check(const NetworkChange& change) {
   reconverge_timer.stop();
 
   // A device the reconvergence did not touch still serves its baseline
-  // handle; a touched one diverges unless its new table fingerprints equal
-  // to the baseline's, and is then rechecked against it. Each new table is
-  // programmed (the emulator runs without device faults) outside the
-  // simulator's cache and dropped after its recheck, so a check never
-  // holds every changed device's baseline and new tables at once;
-  // rollback() puts the baseline handles back in the cache.
+  // table; a touched one diverges unless its new table equals the
+  // baseline's rule for rule (the compare stops at the first difference),
+  // and is then rechecked against it. Each new table is programmed (the
+  // emulator runs without device faults) outside the simulator's cache,
+  // into its worker's recycled rules, and released after its recheck, so a
+  // check never holds every changed device's baseline and new tables at
+  // once; rollback() puts the baseline handles back in the cache.
   const std::vector<topo::DeviceId> changed = simulator_.take_changed_devices();
   const bool timed = diff_ns_ != nullptr;
   std::vector<std::uint64_t> diff_ns(timed ? changed.size() : 0);
@@ -211,18 +210,22 @@ PrecheckResult PrecheckSession::check(const NetworkChange& change) {
     const topo::DeviceId device = changed[i];
     const auto start = timed ? std::chrono::steady_clock::now()
                              : std::chrono::steady_clock::time_point{};
-    const routing::FibPtr table = routing::share_fib(
-        routing::program_fib(simulator_.rib(device), nullptr, device));
-    const bool same = baseline_.lookup(device, table).violations != nullptr;
+    const Baseline& base = baseline_[device];
+    std::vector<routing::Rule>& scratch = fib_scratch_[worker];
+    routing::ForwardingTable table = routing::program_fib(
+        simulator_.rib(device), nullptr, device, std::move(scratch));
+    const bool same = table == *base.table;
     if (timed) {
       diff_ns[i] = static_cast<std::uint64_t>(
           (std::chrono::steady_clock::now() - start).count());
     }
-    if (same) return;
-    divergent[i] = 1;
-    post[i] = step(worker).recheck(device, plan_->contracts_for(device),
-                                   *baseline_.table(device),
-                                   baseline_.violations(device), *table, false);
+    if (!same) {
+      divergent[i] = 1;
+      post[i] = step(worker).recheck(device, plan_->contracts_for(device),
+                                     *base.table, base.violations, table,
+                                     false);
+    }
+    scratch = std::move(table).release();
   });
   const std::size_t revalidated = static_cast<std::size_t>(
       std::count(divergent.begin(), divergent.end(), 1));
@@ -240,7 +243,7 @@ PrecheckResult PrecheckSession::check(const NetworkChange& change) {
 
   for (std::size_t i = 0; i < changed.size(); ++i) {
     if (divergent[i] == 0) continue;
-    const std::vector<Violation>& base = baseline_.violations(changed[i]);
+    const std::vector<Violation>& base = baseline_[changed[i]].violations;
     result.post_change_violations += post[i].size();
     result.post_change_violations -= base.size();
     // Reported in DatacenterValidator::run()'s order, as PrecheckPipeline

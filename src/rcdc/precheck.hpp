@@ -13,7 +13,6 @@
 #include "rcdc/device_step.hpp"
 #include "rcdc/fib_source.hpp"
 #include "rcdc/validator.hpp"
-#include "rcdc/verdict_cache.hpp"
 #include "routing/bgp_sim.hpp"
 #include "topology/metadata.hpp"
 #include "topology/topology.hpp"
@@ -100,11 +99,14 @@ class PrecheckPipeline {
 /// O(changed rules), not O(changed devices × contracts):
 ///
 ///   checkpoint → apply → warm reconverge (worklist seeded from exactly the
-///   touched devices) → recheck each device whose table misses the
-///   baseline → restore the topology → rollback.
+///   touched devices, propagating only changed exports) → build the new
+///   table of each changed device and compare it with its baseline table
+///   → recheck each one that differs → restore the topology → rollback.
 ///
-/// The recheck (DeviceStep::recheck) merge-diffs the device's table against
-/// its baseline and runs the verifier only on the contracts a changed rule
+/// The compare is exact (ForwardingTable equality, which stops at the first
+/// differing rule), so the baseline keeps no fingerprints. The recheck
+/// (DeviceStep::recheck) merge-diffs the device's table against its
+/// baseline and runs the verifier only on the contracts a changed rule
 /// touches, keeping the baseline verdict of the rest. The rollback swaps
 /// the simulator's undo log back (BgpSimulator::checkpoint/rollback) at
 /// O(changed devices) cost instead of reconverging a second time, and puts
@@ -144,7 +146,7 @@ class PrecheckSession {
     return baseline_total_;
   }
   [[nodiscard]] std::uint64_t checks_run() const { return checks_run_; }
-  /// Devices actually revalidated / skipped as fingerprint-identical,
+  /// Devices actually revalidated / skipped as equal to their baseline,
   /// summed over all checks (the proportionality evidence).
   [[nodiscard]] std::uint64_t devices_revalidated() const {
     return devices_revalidated_;
@@ -175,12 +177,21 @@ class PrecheckSession {
   StepMetrics step_metrics_{nullptr};
   StepTally tally_;
   std::vector<std::optional<DeviceStep>> steps_;
+  /// Per-worker rules of the last table programmed for a diff, handed to
+  /// the next one so it reuses their next-hop storage.
+  std::vector<std::vector<routing::Rule>> fib_scratch_;
+
+  /// One device's baseline table and the violations found on it.
+  struct Baseline {
+    routing::FibPtr table;
+    std::vector<Violation> violations;
+  };
 
   std::size_t baseline_total_ = 0;
-  /// Per-device baseline handles and verdicts: filled once by the cold
-  /// pass, then only read. A device diverges from the baseline exactly
-  /// when its lookup misses.
-  VerdictCache baseline_;
+  /// Per-device baselines, indexed by device id: filled once by the cold
+  /// pass, then only read. A changed device diverges from the baseline
+  /// exactly when its new table differs from `table`.
+  std::vector<Baseline> baseline_;
 
   std::uint64_t checks_run_ = 0;
   std::uint64_t devices_revalidated_ = 0;

@@ -6,6 +6,7 @@
 
 #include "exec/executor.hpp"
 #include "net/error.hpp"
+#include "obs/span.hpp"
 
 namespace dcv::routing {
 
@@ -26,6 +27,14 @@ struct Candidate {
   std::span<const Asn> path;
   topo::DatacenterId origin_datacenter = 0;
 };
+
+/// Whether two entries for one prefix export the same announcement: the
+/// fields a neighbor's selection reads (path, connected, origin). Next hops
+/// never leave the device.
+bool exports_equal(const RibEntry& a, const RibEntry& b) {
+  return a.path == b.path && a.connected == b.connected &&
+         a.origin_datacenter == b.origin_datacenter;
+}
 
 }  // namespace
 
@@ -75,7 +84,7 @@ void Rib::sort_by_prefix() {
 // FIB programming (shared with ReferenceBgpSimulator)
 
 ForwardingTable program_fib(const Rib& rib, const topo::FaultInjector* faults,
-                            topo::DeviceId device) {
+                            topo::DeviceId device, std::vector<Rule> scratch) {
   const bool rib_fib_bug =
       faults != nullptr &&
       faults->device_has_fault(device,
@@ -85,26 +94,24 @@ ForwardingTable program_fib(const Rib& rib, const topo::FaultInjector* faults,
       faults->device_has_fault(device,
                                topo::DeviceFaultKind::kEcmpSingleNextHop);
 
-  ForwardingTable fib;
+  scratch.resize(rib.size());
+  auto rule = scratch.begin();
   for (const RibEntry& entry : rib) {
-    const std::span<const DeviceId> hops = rib.next_hops(entry);
-    Rule rule{.prefix = entry.prefix,
-              .next_hops = std::vector<DeviceId>(hops.begin(), hops.end()),
-              .connected = entry.connected};
+    std::span<const DeviceId> hops = rib.next_hops(entry);
     // "Software Bug 1": the FIB retains far fewer next hops for the default
     // route than the RIB computed (§2.6.2).
-    if (rib_fib_bug && entry.prefix.is_default() &&
-        rule.next_hops.size() > 1) {
-      rule.next_hops.resize(1);
-    }
     // ECMP misconfiguration: a single next hop is programmed everywhere
     // instead of the full available set (§2.6.2 "Policy Errors").
-    if (ecmp_bug && rule.next_hops.size() > 1) {
-      rule.next_hops.resize(1);
+    if ((rib_fib_bug && entry.prefix.is_default()) || ecmp_bug) {
+      hops = hops.first(std::min<std::size_t>(hops.size(), 1));
     }
-    fib.add(std::move(rule));
+    rule->prefix = entry.prefix;
+    rule->next_hops.assign(hops.begin(), hops.end());
+    rule->connected = entry.connected;
+    ++rule;
   }
-  return fib;
+  // The RIB is in prefix order, so the bulk build is one bucket pass.
+  return ForwardingTable(std::move(scratch));
 }
 
 // ---------------------------------------------------------------------------
@@ -163,6 +170,18 @@ BgpSimulator::BgpSimulator(const topo::Topology& topology,
     fib_hits_ = &metrics_->counter(
         "dcv_bgp_fib_cache_hits_total",
         "fib() fetches served from the materialized-table cache");
+    fib_materialize_ns_ = &metrics_->histogram(
+        "dcv_fib_materialize_ns",
+        "Time to program one ForwardingTable from a converged RIB");
+    const auto converge = [this](const char* mode) {
+      return &metrics_->histogram(
+          "dcv_bgp_converge_ns",
+          "Time to reach an EBGP fixpoint: a cold run from origination, or a "
+          "warm reconverge() from the changed devices",
+          {{"mode", mode}});
+    };
+    cold_ns_ = converge("cold");
+    warm_ns_ = converge("warm");
   }
   ribs_.resize(topology.device_count());
   fib_cache_.resize(topology.device_count());
@@ -181,6 +200,7 @@ FibPtr BgpSimulator::fib_handle(topo::DeviceId device) const {
   const std::lock_guard lock(fib_locks_[device % fib_locks_.size()]);
   FibPtr& slot = fib_cache_[device];
   if (slot == nullptr) {
+    obs::ScopedTimer timer(fib_materialize_ns_);
     slot = share_fib(program_fib(ribs_[device], faults_, device));
     if (fib_rebuilds_ != nullptr) fib_rebuilds_->inc();
   } else if (fib_hits_ != nullptr) {
@@ -379,6 +399,7 @@ void BgpSimulator::rollback() {
 }
 
 void BgpSimulator::cold_run() {
+  obs::ScopedTimer timer(cold_ns_);
   const auto& devices = topology_->devices();
   // Seed locally originated routes so the first round already propagates
   // them: ToRs originate their hosted VLAN prefixes, regional spines the
@@ -408,6 +429,7 @@ void BgpSimulator::cold_run() {
 }
 
 int BgpSimulator::reconverge() {
+  obs::ScopedTimer timer(warm_ns_);
   std::vector<DeviceId> seeds;
   std::vector<DeviceId> fib_only;
   if (!diff_state(snap_, seeds, fib_only)) {
@@ -415,6 +437,7 @@ int BgpSimulator::reconverge() {
       trial_cold_ = true;  // the log cannot describe a reshaped fabric
       clear_undo_log();
     }
+    timer.cancel();  // timed as the cold run it is
     ribs_.assign(topology_->device_count(), Rib{});
     fib_cache_.clear();
     fib_cache_.resize(topology_->device_count());
@@ -464,13 +487,17 @@ int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
         });
 
     // Commit changed results: splice partial (dirty-only) results over the
-    // previous state, record which prefixes changed for the next round's
-    // dirty set, and enqueue usable-link neighbors as the next frontier.
+    // previous state, record the prefixes whose export changed for the next
+    // round's dirty set, and enqueue the usable-link neighbors of each
+    // device whose exports changed as the next frontier.
     next.clear();
     next_dirty.clear();
+    bool round_changed = false;
     for (std::size_t i = 0; i < frontier.size(); ++i) {
       if (!changed[i]) continue;
+      round_changed = true;
       const DeviceId d = frontier[i];
+      const std::size_t dirty_before = next_dirty.size();
       if (round_dirty == nullptr) {
         // Full recompute: diff old vs new for the dirty set, then adopt the
         // fresh Rib wholesale (entries + arena move together).
@@ -485,9 +512,7 @@ int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
           } else if (oit == old.end() || fit->prefix < oit->prefix) {
             next_dirty.push_back((fit++)->prefix);  // entry added
           } else {
-            if (!Rib::entry_equal(old, *oit, fresh, *fit)) {
-              next_dirty.push_back(fit->prefix);
-            }
+            if (!exports_equal(*oit, *fit)) next_dirty.push_back(fit->prefix);
             ++oit;
             ++fit;
           }
@@ -521,9 +546,7 @@ int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
             continue;
           }
           if (fit != fresh.end() && fit->prefix == entry.prefix) {
-            if (!Rib::entry_equal(old, entry, fresh, *fit)) {
-              next_dirty.push_back(fit->prefix);
-            }
+            if (!exports_equal(entry, *fit)) next_dirty.push_back(fit->prefix);
             merge_scratch_.append_from(fresh, *fit);
             ++fit;
           } else {
@@ -544,7 +567,10 @@ int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
           merge_scratch_ = Rib{};
         }
       }
+      // A device whose next hops alone changed keeps its neighbors' inputs:
+      // its FIB is rebuilt, but nothing propagates.
       invalidate_fib(d);
+      if (next_dirty.size() == dirty_before) continue;
       for (const topo::LinkId lid : topology_->links_of(d)) {
         const topo::Link& link = topology_->link(lid);
         if (!link.usable()) continue;
@@ -556,6 +582,10 @@ int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
       }
     }
     for (const DeviceId d : next) queued[d] = 0;
+    // A round that changed RIBs but no export ends the run here; the
+    // synchronous reference would spend one more round finding nothing to
+    // change, and rounds() counts it the same way.
+    if (next.empty() && round_changed && rounds < kMaxRounds) ++rounds;
     frontier = next;
     std::sort(next_dirty.begin(), next_dirty.end());
     next_dirty.erase(std::unique(next_dirty.begin(), next_dirty.end()),

@@ -186,10 +186,13 @@ class Rib {
 /// Programs a FIB from converged RIB entries, applying the device-level
 /// FIB-programming faults of §2.6.2 (kRibFibInconsistency,
 /// kEcmpSingleNextHop). Shared by the worklist engine and the retained
-/// reference implementation.
+/// reference implementation. The rules are built in `scratch`, reusing the
+/// next-hop storage of the rules it holds (say, an earlier table's
+/// release()), so programming many tables in turn stops allocating per rule.
 [[nodiscard]] ForwardingTable program_fib(const Rib& rib,
                                           const topo::FaultInjector* faults,
-                                          topo::DeviceId device);
+                                          topo::DeviceId device,
+                                          std::vector<Rule> scratch = {});
 
 /// Tuning knobs of the worklist engine. The converged result is identical
 /// at every thread count: workers read the previous round's state and write
@@ -226,8 +229,14 @@ struct BgpSimOptions {
 /// Unlike the retained ReferenceBgpSimulator (Jacobi full recompute with a
 /// whole-network copy per round), this engine is worklist-driven: a round
 /// reprocesses only the dirty frontier — devices with at least one neighbor
-/// whose RIB changed in the previous round — and double-buffers only those
-/// devices' results. Frontiers are processed in parallel; candidate
+/// whose *exported* routes changed in the previous round — and only the
+/// prefixes whose export changed somewhere. A neighbor's selection reads
+/// the presence, AS-path, connected flag and origin of an entry, never its
+/// next hops, so a device whose next hops alone changed rebuilds its FIB
+/// but wakes no neighbor. rounds() still counts as the reference does: a
+/// round that changed RIBs but no export is followed by one settle round,
+/// which the engine counts without running. Only the frontier's results are
+/// double-buffered. Frontiers are processed in parallel; candidate
 /// collection borrows AS-path storage from the global PathTable (immutable,
 /// append-only) and per-worker memo tables turn repeat rewrites
 /// (private-ASN stripping, own-ASN prepends, connected originations) into
@@ -239,7 +248,8 @@ class BgpSimulator {
   /// Runs propagation to a fixpoint over the topology's *current* link and
   /// session state. `faults` may be null (no device-level faults).
   /// `metrics`, when non-null, receives dcv_bgp_* series for this run and
-  /// every later reconverge().
+  /// every later reconverge() (dcv_bgp_converge_ns{mode="cold"|"warm"} times
+  /// each convergence) and dcv_fib_materialize_ns per table built.
   explicit BgpSimulator(const topo::Topology& topology,
                         const topo::FaultInjector* faults = nullptr,
                         obs::MetricsRegistry* metrics = nullptr,
@@ -383,6 +393,9 @@ class BgpSimulator {
   obs::Gauge* paths_gauge_ = nullptr;
   obs::Counter* fib_rebuilds_ = nullptr;
   obs::Counter* fib_hits_ = nullptr;
+  obs::Histogram* fib_materialize_ns_ = nullptr;
+  obs::Histogram* cold_ns_ = nullptr;  // dcv_bgp_converge_ns{mode="cold"}
+  obs::Histogram* warm_ns_ = nullptr;  // dcv_bgp_converge_ns{mode="warm"}
 
   // Per-worker scratch (candidate buffers, rewrite memos), indexed by the
   // executor's worker index; index 0 doubles as the inline state.

@@ -1,5 +1,7 @@
 #include "routing/fib.hpp"
 
+#include <array>
+#include <numeric>
 #include <ostream>
 
 namespace dcv::routing {
@@ -27,6 +29,41 @@ std::string Rule::to_string() const {
 
 std::ostream& operator<<(std::ostream& os, const Rule& rule) {
   return os << rule.to_string();
+}
+
+ForwardingTable::ForwardingTable(std::vector<Rule> rules) {
+  // Counting sort by length, longest first: bucket k holds /(32 - k), and
+  // next[k] is its next free slot — its end once every rule is placed.
+  std::array<std::size_t, 33> next{};
+  for (Rule& rule : rules) {
+    canonicalize(rule.next_hops);
+    ++next[32 - rule.prefix.length()];
+  }
+  std::exclusive_scan(next.begin(), next.end(), next.begin(), std::size_t{0});
+  rules_.resize(rules.size());
+  for (Rule& rule : rules) {
+    rules_[next[32 - rule.prefix.length()]++] = std::move(rule);
+  }
+  // Each bucket holds its rules in input order; sort only the ones that are
+  // not already ascending (stably, so a repeated prefix keeps input order).
+  auto first = rules_.begin();
+  for (const std::size_t end : next) {
+    const auto last = rules_.begin() + static_cast<std::ptrdiff_t>(end);
+    if (!std::is_sorted(first, last, rule_order)) {
+      std::stable_sort(first, last, rule_order);
+    }
+    first = last;
+  }
+  // Of each run of one prefix, the last rule wins.
+  auto out = rules_.begin();
+  for (auto it = rules_.begin(); it != rules_.end(); ++it) {
+    if (std::next(it) != rules_.end() && std::next(it)->prefix == it->prefix) {
+      continue;
+    }
+    if (out != it) *out = std::move(*it);
+    ++out;
+  }
+  rules_.erase(out, rules_.end());
 }
 
 void ForwardingTable::add(Rule rule) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -39,6 +40,13 @@ class ForwardingTable {
  public:
   ForwardingTable() = default;
 
+  /// Builds a table from rules in any order, as add() of each in turn
+  /// would: next hops canonicalized, and of two rules with the same prefix
+  /// the later one kept. A stable bucket by prefix length puts rules in
+  /// canonical order in one pass, so input already sorted by prefix value
+  /// within each length (a RIB's order, or this table's own) costs O(n).
+  explicit ForwardingTable(std::vector<Rule> rules);
+
   /// Adds a rule. Next hops are sorted and deduplicated; inserting a second
   /// rule with the same prefix replaces the first (a FIB has at most one
   /// entry per prefix).
@@ -66,6 +74,10 @@ class ForwardingTable {
   friend bool operator==(const ForwardingTable&,
                          const ForwardingTable&) = default;
 
+  /// Moves the rules out, each keeping its next-hop storage, so a caller
+  /// that builds many tables in turn can hand them to the next build.
+  [[nodiscard]] std::vector<Rule> release() && { return std::move(rules_); }
+
  private:
   std::vector<Rule> rules_;
 };
@@ -90,6 +102,10 @@ using FibPtr = std::shared_ptr<const ForwardingTable>;
 
 /// Canonicalizes a next-hop set: sorted ascending, duplicates removed.
 inline void canonicalize(std::vector<topo::DeviceId>& next_hops) {
+  if (std::adjacent_find(next_hops.begin(), next_hops.end(),
+                         std::greater_equal<>()) == next_hops.end()) {
+    return;  // already strictly ascending
+  }
   std::sort(next_hops.begin(), next_hops.end());
   next_hops.erase(std::unique(next_hops.begin(), next_hops.end()),
                   next_hops.end());

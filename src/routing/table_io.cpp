@@ -143,11 +143,13 @@ ForwardingTable to_forwarding_table(const ParsedRoutingTable& parsed,
                                     const topo::Topology& topology) {
   const std::uint32_t base =
       net::Ipv4Address::from_octets(172, 16, 0, 0).value();
-  ForwardingTable fib;
+  std::vector<Rule> rules;
+  rules.reserve(parsed.routes.size());
   for (const ParsedRoute& route : parsed.routes) {
-    Rule rule{.prefix = route.prefix,
-              .next_hops = {},
-              .connected = route.connected};
+    Rule& rule = rules.emplace_back(Rule{.prefix = route.prefix,
+                                         .next_hops = {},
+                                         .connected = route.connected});
+    rule.next_hops.reserve(route.via.size());
     for (const net::Ipv4Address via : route.via) {
       const std::uint64_t offset = std::uint64_t{via.value()} - base;
       if (via.value() < base || offset == 0 ||
@@ -157,9 +159,10 @@ ForwardingTable to_forwarding_table(const ParsedRoutingTable& parsed,
       }
       rule.next_hops.push_back(static_cast<topo::DeviceId>(offset - 1));
     }
-    fib.add(std::move(rule));
   }
-  return fib;
+  // A written table lists its rules in canonical order, so the bulk build
+  // is one pass; a repeated prefix keeps its last route, as add() would.
+  return ForwardingTable(std::move(rules));
 }
 
 }  // namespace dcv::routing

@@ -258,6 +258,119 @@ TEST(FibCache, FetchesServeCachedTablesAcrossCycles) {
   EXPECT_EQ(rebuilds.value(), after_fault + 1);
 }
 
+// The one-pass program_fib() against the rule-by-rule build it replaced:
+// each RIB entry add()ed in RIB order, with the §2.6.2 FIB faults applied
+// to its hop list first.
+ForwardingTable program_fib_by_add(const Rib& rib, bool rib_fib_bug,
+                                   bool ecmp_bug) {
+  ForwardingTable fib;
+  for (const RibEntry& entry : rib) {
+    const std::span<const DeviceId> hops = rib.next_hops(entry);
+    Rule rule{.prefix = entry.prefix,
+              .next_hops = std::vector<DeviceId>(hops.begin(), hops.end()),
+              .connected = entry.connected};
+    if (((rib_fib_bug && entry.prefix.is_default()) || ecmp_bug) &&
+        rule.next_hops.size() > 1) {
+      rule.next_hops.resize(1);
+    }
+    fib.add(std::move(rule));
+  }
+  return fib;
+}
+
+TEST(ProgramFib, OnePassEqualsRuleByRuleAdd) {
+  Topology topology = topo::build_figure3();
+  FaultInjector injector(topology);
+  const DeviceId clean = 0;
+  const DeviceId rib_fib = 1;
+  const DeviceId ecmp = 2;
+  injector.device_fault(rib_fib, DeviceFaultKind::kRibFibInconsistency);
+  injector.device_fault(ecmp, DeviceFaultKind::kEcmpSingleNextHop);
+
+  std::mt19937_64 rng(0xF1B);
+  std::uniform_int_distribution<std::uint32_t> addr;
+  std::uniform_int_distribution<int> len(0, 32);
+  std::uniform_int_distribution<int> hop(0, 30);
+  std::uniform_int_distribution<int> hop_count(0, 5);
+  const PathId path = global_path_table().intern(std::vector<topo::Asn>{65001});
+  // Rules released by one trial's table seed the next build, whose RIB may
+  // be larger or smaller.
+  std::vector<Rule> scratch;
+  for (int trial = 0; trial < 100; ++trial) {
+    // Distinct random prefixes of every length, /0 included in most RIBs;
+    // hop lists long enough to spill into the arena.
+    std::vector<net::Prefix> prefixes;
+    if (trial % 4 != 0) prefixes.push_back(net::Prefix::default_route());
+    for (int i = 0; i < trial * 37 % 100 * 3; ++i) {
+      prefixes.emplace_back(net::Ipv4Address(addr(rng)), len(rng));
+    }
+    std::sort(prefixes.begin(), prefixes.end());
+    prefixes.erase(std::unique(prefixes.begin(), prefixes.end()),
+                   prefixes.end());
+    std::shuffle(prefixes.begin(), prefixes.end(), rng);
+    Rib rib;
+    for (const net::Prefix& prefix : prefixes) {
+      std::vector<DeviceId> hops;
+      for (int h = hop_count(rng); h > 0; --h) hops.push_back(hop(rng));
+      canonicalize(hops);
+      const bool connected = hops.empty() && hop(rng) % 2 == 0;
+      rib.append(prefix, connected ? kEmptyPathId : path, hops, connected,
+                 /*origin_datacenter=*/0);
+    }
+    rib.sort_by_prefix();
+
+    EXPECT_EQ(program_fib(rib, nullptr, clean),
+              program_fib_by_add(rib, false, false))
+        << "trial " << trial;
+    ForwardingTable reused = program_fib(rib, nullptr, clean,
+                                         std::move(scratch));
+    EXPECT_EQ(reused, program_fib_by_add(rib, false, false))
+        << "trial " << trial;
+    scratch = std::move(reused).release();
+    EXPECT_EQ(program_fib(rib, &injector, clean),
+              program_fib_by_add(rib, false, false))
+        << "trial " << trial;
+    EXPECT_EQ(program_fib(rib, &injector, rib_fib),
+              program_fib_by_add(rib, true, false))
+        << "trial " << trial;
+    EXPECT_EQ(program_fib(rib, &injector, ecmp),
+              program_fib_by_add(rib, false, true))
+        << "trial " << trial;
+  }
+}
+
+// dcv_bgp_converge_ns holds one cold sample per cold run and one warm
+// sample per reconverge(); dcv_fib_materialize_ns one per table built.
+TEST(BgpMetrics, OneReconvergeRecordsOneWarmSample) {
+  Topology topology = topo::build_clos(ClosParams{.clusters = 2,
+                                                  .tors_per_cluster = 2,
+                                                  .leaves_per_cluster = 2,
+                                                  .spines_per_plane = 1,
+                                                  .regional_spines = 2});
+  obs::MetricsRegistry registry;
+  BgpSimulator sim(topology, nullptr, &registry);
+  const auto& cold =
+      registry.histogram("dcv_bgp_converge_ns", "", {{"mode", "cold"}});
+  const auto& warm =
+      registry.histogram("dcv_bgp_converge_ns", "", {{"mode", "warm"}});
+  const auto& materialize = registry.histogram("dcv_fib_materialize_ns", "");
+  EXPECT_EQ(cold.count(), 1u);
+  EXPECT_EQ(warm.count(), 0u);
+
+  const DeviceId tor = topology.devices_with_role(DeviceRole::kTor)[0];
+  topology.set_bgp_state(topology.links_of(tor)[0],
+                         topo::BgpSessionState::kAdminShutdown);
+  ASSERT_GT(sim.reconverge(), 0);
+  EXPECT_EQ(cold.count(), 1u);
+  EXPECT_EQ(warm.count(), 1u);
+  EXPECT_GT(warm.sum(), 0u);
+
+  EXPECT_EQ(materialize.count(), 0u);
+  (void)sim.fib(0);
+  (void)sim.fib(0);  // served from the cache: no second sample
+  EXPECT_EQ(materialize.count(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // BgpParallel.* — exercised under ThreadSanitizer in CI.
 
@@ -417,6 +530,92 @@ TEST(BgpCheckpoint, TwoLinkChangeOverTwoReconvergesIsUndone) {
                           topology.leaves_in_cluster(2)[1]),
              topo::LinkState::kDown);
        }});
+}
+
+// ---------------------------------------------------------------------------
+// BgpOracle.* — every link of a fabric with regional spines, shut and then
+// down, each as one checkpoint → reconverge → rollback trial (exercised
+// under ThreadSanitizer in CI). Private-ASN stripping at the regional tier
+// makes equal-length paths arrive in different rounds, so next-hop-only
+// changes and export changes interleave.
+
+/// Whether two RIBs of one device export the same routes: the same
+/// prefixes with the same path, connected flag and origin (next hops aside).
+bool same_exports(const Rib& a, const Rib& b) {
+  return std::ranges::equal(a, b, [](const RibEntry& x, const RibEntry& y) {
+    return x.prefix == y.prefix && x.path == y.path &&
+           x.connected == y.connected &&
+           x.origin_datacenter == y.origin_datacenter;
+  });
+}
+
+TEST(BgpOracle, EveryLinkTrialMatchesColdReferenceAndRollsBack) {
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const Topology base = checkpoint_fabric();
+    Topology topology = base;
+    BgpSimulator sim(topology, nullptr, nullptr,
+                     BgpSimOptions{.threads = threads,
+                                   .parallel_threshold = 1});
+    std::vector<Rib> base_ribs;
+    std::vector<ForwardingTable> base_fibs;
+    for (const topo::Device& device : base.devices()) {
+      base_ribs.push_back(sim.rib(device.id));
+      base_fibs.push_back(sim.fib(device.id));
+    }
+    (void)sim.take_changed_devices();
+
+    int next_hop_only_trials = 0;
+    const std::function<void(Topology&, topo::LinkId)> kChanges[] = {
+        [](Topology& t, topo::LinkId l) {
+          t.set_bgp_state(l, topo::BgpSessionState::kAdminShutdown);
+        },
+        [](Topology& t, topo::LinkId l) {
+          t.set_link_state(l, topo::LinkState::kDown);
+        },
+    };
+    for (const topo::Link& link : base.links()) {
+      for (std::size_t c = 0; c < 2; ++c) {
+        SCOPED_TRACE(testing::Message()
+                     << (c == 0 ? "shut " : "down ")
+                     << base.device(link.a).name << "-"
+                     << base.device(link.b).name);
+        sim.checkpoint();
+        kChanges[c](topology, link.id);
+        const int rounds = sim.reconverge();
+
+        const ReferenceBgpSimulator ref(topology);
+        std::vector<DeviceId> differ;
+        bool exports_changed = false;
+        for (const topo::Device& device : topology.devices()) {
+          const Rib& rib = sim.rib(device.id);
+          const ForwardingTable& fib = sim.fib(device.id);
+          ASSERT_EQ(rib, ref.rib(device.id)) << device.name;
+          ASSERT_EQ(fib, ref.fib(device.id)) << device.name;
+          if (rib != base_ribs[device.id] || fib != base_fibs[device.id]) {
+            differ.push_back(device.id);
+          }
+          exports_changed |= !same_exports(rib, base_ribs[device.id]);
+        }
+        EXPECT_EQ(sim.take_changed_devices(), differ);
+        if (!differ.empty() && !exports_changed) {
+          // Only next hops moved: the synchronous reference changes them in
+          // one round and settles in the next.
+          EXPECT_EQ(rounds, 2);
+          ++next_hop_only_trials;
+        }
+
+        topology = base;
+        sim.rollback();
+        for (const topo::Device& device : topology.devices()) {
+          ASSERT_EQ(sim.rib(device.id), base_ribs[device.id]) << device.name;
+          ASSERT_EQ(sim.fib(device.id), base_fibs[device.id]) << device.name;
+        }
+        ASSERT_TRUE(sim.take_changed_devices().empty());
+      }
+    }
+    EXPECT_GT(next_hop_only_trials, 0);
+  }
 }
 
 TEST(BgpCheckpoint, RefusesAnUnrestoredTopology) {

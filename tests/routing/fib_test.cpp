@@ -114,6 +114,43 @@ TEST(ForwardingTableProperty, LookupMatchesBruteForce) {
   }
 }
 
+// The bulk constructor is add() of each rule in turn: canonical order,
+// canonical hops, and the last rule of a repeated prefix kept, whatever the
+// input order (shuffled, RIB order, or already canonical).
+TEST(ForwardingTable, BulkBuildEqualsRuleByRuleAdd) {
+  std::mt19937_64 rng(0xB0CC);
+  std::uniform_int_distribution<std::uint32_t> addr;
+  std::uniform_int_distribution<int> len(0, 32);
+  std::uniform_int_distribution<int> hop(0, 9);
+  std::uniform_int_distribution<int> hop_count(0, 5);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<Rule> rules;
+    const int n = trial % 40;
+    for (int i = 0; i < n; ++i) {
+      Rule r;
+      // A narrow address pool makes repeated prefixes common.
+      r.prefix = net::Prefix(net::Ipv4Address(addr(rng) & 0xC0C00000u),
+                             len(rng) % (trial % 3 == 0 ? 3 : 33));
+      for (int h = hop_count(rng); h > 0; --h) r.next_hops.push_back(hop(rng));
+      r.connected = hop(rng) == 0;
+      rules.push_back(r);
+    }
+    ForwardingTable by_add;
+    for (const Rule& r : rules) by_add.add(r);
+    EXPECT_EQ(ForwardingTable(rules), by_add) << "trial " << trial;
+
+    std::vector<Rule> rib_order = rules;
+    std::stable_sort(rib_order.begin(), rib_order.end(),
+                     [](const Rule& a, const Rule& b) {
+                       return a.prefix < b.prefix;
+                     });
+    ForwardingTable rib_add;
+    for (const Rule& r : rib_order) rib_add.add(r);
+    EXPECT_EQ(ForwardingTable(rib_order), rib_add) << "trial " << trial;
+    EXPECT_EQ(ForwardingTable(by_add.rules()), by_add) << "trial " << trial;
+  }
+}
+
 TEST(Rule, ToStringIncludesHops) {
   // Rule itself preserves insertion order; canonicalization happens on
   // ForwardingTable::add.

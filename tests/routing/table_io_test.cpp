@@ -72,6 +72,23 @@ TEST(TableIo, ResolveRejectsUnknownNextHop) {
   EXPECT_THROW(to_forwarding_table(parsed, topology), ParseError);
 }
 
+// A device listing one prefix twice is read as add() would read it: the
+// later route replaces the earlier one.
+TEST(TableIo, DuplicatePrefixKeepsTheLastRoute) {
+  const char* text =
+      "B E 10.0.0.0/24 [200/0] via 172.16.0.1\n"
+      "B E 0.0.0.0/0 [200/0] via 172.16.0.3\n"
+      "B E 10.0.0.0/24 [200/0] via 172.16.0.2\n"
+      "                      via 172.16.0.1\n";
+  const auto topology = topo::build_figure3();
+  const ForwardingTable fib =
+      to_forwarding_table(parse_routing_table(text), topology);
+  ASSERT_EQ(fib.size(), 2u);
+  EXPECT_EQ(fib.find(net::Prefix::parse("10.0.0.0/24"))->next_hops,
+            (std::vector<topo::DeviceId>{0, 1}));
+  EXPECT_EQ(fib.rules()[1].prefix, net::Prefix::default_route());
+}
+
 TEST(TableIo, DropRouteRenders) {
   ForwardingTable fib;
   fib.add(Rule{.prefix = net::Prefix::parse("10.0.0.0/24"), .next_hops = {}});
