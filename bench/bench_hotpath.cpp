@@ -15,13 +15,16 @@
 //      element (exit 3 otherwise), and the median of 5 paired runs is
 //      gated at >= 3x;
 //   2. warm cycles: fingerprint-based incremental skip — an unchanged
-//      device replays its cached verdict without checking a contract;
+//      device replays its cached verdict without checking a contract. Each
+//      of 7 pairs runs a cold cycle on a fresh pipeline and then a warm
+//      one on it, and the median paired warm/cold ratio is gated at >= 3x;
 //   3. churn cycles: 1% of devices change between cycles, the
 //      steady-state regime incremental validation is built for.
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -176,56 +179,84 @@ int main(int argc, char** argv) {
   report.value("cold_speedup_vs_linear_ratio", "x", cold_speedup, "higher");
 
   // -- pipeline cycles: cold -> warm unchanged -> 1% churn -----------------
+  // A cycle lasts tens of milliseconds, so one scheduler stall on a loaded
+  // machine can swing a single cold/warm ratio by more than the gate's
+  // margin. As with the sweeps, the gate takes the median of paired ratios;
+  // each cold cycle runs on a fresh pipeline, so it pays the plan build and
+  // the empty verdict cache every time.
   CachedFibSource fibs(std::move(tables));
-  rcdc::MonitoringPipeline pipeline(
-      metadata, fibs, rcdc::make_trie_verifier_factory(),
-      rcdc::PipelineConfig{.puller_workers = threads,
-                           .validator_workers = threads,
-                           .fetch_latency_min = std::chrono::microseconds(0),
-                           .fetch_latency_max = std::chrono::microseconds(0),
-                           .time_scale = 0.0,
-                           .seed = 3});
-
   const auto cycle_rate = [&](const rcdc::PipelineStats& stats) {
     return static_cast<double>(stats.devices) /
            std::chrono::duration<double>(stats.wall).count();
   };
-  const auto cold = pipeline.run_cycle();
-  const auto warm = pipeline.run_cycle();
+  constexpr int kPairs = 7;
+  std::vector<double> cold_rates;
+  std::vector<double> warm_rates;
+  std::vector<double> warm_speedups;
+  std::unique_ptr<rcdc::MonitoringPipeline> pipeline;
+  rcdc::PipelineStats cold;
+  rcdc::PipelineStats warm;
+  std::size_t warm_contracts = 0;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    pipeline.reset();  // at most one pipeline's plan and cache alive
+    pipeline = std::make_unique<rcdc::MonitoringPipeline>(
+        metadata, fibs, rcdc::make_trie_verifier_factory(),
+        rcdc::PipelineConfig{.puller_workers = threads,
+                             .validator_workers = threads,
+                             .fetch_latency_min = std::chrono::microseconds(0),
+                             .fetch_latency_max = std::chrono::microseconds(0),
+                             .time_scale = 0.0,
+                             .seed = 3});
+    cold = pipeline->run_cycle();
+    warm = pipeline->run_cycle();
+    cold_rates.push_back(cycle_rate(cold));
+    warm_rates.push_back(cycle_rate(warm));
+    warm_speedups.push_back(warm_rates.back() / cold_rates.back());
+    warm_contracts = std::max(warm_contracts, warm.contracts_checked);
+  }
   fibs.churn(std::max<std::size_t>(1, device_count / 100));
-  const auto churn = pipeline.run_cycle();
+  const auto churn = pipeline->run_cycle();
 
-  const double cold_rate = cycle_rate(cold);
-  const double warm_rate = cycle_rate(warm);
+  const auto median = [](std::vector<double> samples) {
+    std::sort(samples.begin(), samples.end());
+    return samples[samples.size() / 2];
+  };
+  const double cold_rate = median(cold_rates);
+  const double warm_rate = median(warm_rates);
   const double churn_rate = cycle_rate(churn);
-  const double warm_speedup = warm_rate / cold_rate;
-  std::printf("pipeline cycles (fetch = table copy, no latency sim):\n");
+  const double warm_speedup = median(warm_speedups);
+  const auto [min_speedup, max_speedup] =
+      std::minmax_element(warm_speedups.begin(), warm_speedups.end());
+  std::printf("pipeline cycles (fetch = table copy, no latency sim; median "
+              "of %d pairs):\n",
+              kPairs);
   std::printf("  cold  : %9.1f devices/s  (%zu revalidated, %zu contracts)\n",
               cold_rate, cold.devices_revalidated, cold.contracts_checked);
   std::printf("  warm  : %9.1f devices/s  (%zu revalidated, %zu contracts)\n",
-              warm_rate, warm.devices_revalidated, warm.contracts_checked);
+              warm_rate, warm.devices_revalidated, warm_contracts);
   std::printf("  churn : %9.1f devices/s  (%zu revalidated of %zu, 1%% "
               "changed)\n",
               churn_rate, churn.devices_revalidated, churn.devices);
-  std::printf("  warm speedup vs cold: %.2fx (acceptance floor 3x)\n",
-              warm_speedup);
+  std::printf("  warm speedup vs cold: %.2fx median, %.2f-%.2fx over the "
+              "pairs (acceptance floor 3x)\n",
+              warm_speedup, *min_speedup, *max_speedup);
 
   report.workload("devices", static_cast<double>(device_count));
   report.workload("threads", static_cast<double>(threads));
-  report.value("cycle_cold_devices_per_s", "1/s", cold_rate, "higher");
-  report.value("cycle_warm_devices_per_s", "1/s", warm_rate, "higher");
+  report.metric("cycle_cold_devices_per_s", "1/s", cold_rates, "higher");
+  report.metric("cycle_warm_devices_per_s", "1/s", warm_rates, "higher");
   report.value("cycle_churn_devices_per_s", "1/s", churn_rate, "higher");
-  report.value("warm_speedup_ratio", "x", warm_speedup, "higher");
+  report.metric("warm_speedup_ratio", "x", warm_speedups, "higher");
   report.value("warm_contracts_checked", "contracts",
-               static_cast<double>(warm.contracts_checked), "lower");
+               static_cast<double>(warm_contracts), "lower");
 
-  const bool pass = cold_speedup >= 3.0 && warm_speedup >= 3.0 &&
-                    warm.contracts_checked == 0;
+  const bool pass =
+      cold_speedup >= 3.0 && warm_speedup >= 3.0 && warm_contracts == 0;
   std::printf("\nacceptance: cold >= 3x linear %s, warm >= 3x %s, "
               "warm contracts == 0 %s\n",
               cold_speedup >= 3.0 ? "OK" : "FAIL",
               warm_speedup >= 3.0 ? "OK" : "FAIL",
-              warm.contracts_checked == 0 ? "OK" : "FAIL");
+              warm_contracts == 0 ? "OK" : "FAIL");
 
   if (!json_out.empty() && !report.write(json_out)) return 1;
   return pass ? 0 : 2;

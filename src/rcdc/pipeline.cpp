@@ -18,6 +18,11 @@ namespace {
 /// pipelines sharing one trace ring never alias each other's cycles.
 std::atomic<std::uint64_t> g_next_cycle_id{1};
 
+/// Notifications a puller holds before handing them over, and the most a
+/// validator takes at once: one queue lock and one wake-up per batch instead
+/// of per device. Much larger batches stop the two stages overlapping.
+constexpr std::size_t kHandoffBatch = 32;
+
 /// Sets a flag for its own lifetime: cleared on every exit, a throw
 /// included.
 class FlagScope {
@@ -39,7 +44,8 @@ struct Notification {
   /// truncated/corrupted pull) has its violations reported at degraded
   /// confidence.
   FetchOutcome pull;
-  /// When the puller enqueued this notification (for queue-wait metrics).
+  /// When the puller pulled this table (for queue-wait metrics; left unset
+  /// when that metric is off).
   std::chrono::steady_clock::time_point enqueued_at{};
 };
 
@@ -61,12 +67,15 @@ struct CycleMetrics {
         "Per-device simulated (production-magnitude) fetch latency");
     queue_wait_ns = &registry->histogram(
         "dcv_pipeline_queue_wait_ns",
-        "Time a notification spent in the puller->validator queue");
+        "Time from a table's pull to its notification's pop, including "
+        "the time spent in the puller's batch");
     queue_push_block_ns = &registry->histogram(
         "dcv_pipeline_queue_push_block_ns",
-        "Time a puller spent blocked on a full notification queue");
-    queue_depth = &registry->gauge("dcv_pipeline_queue_depth",
-                                   "Notification queue depth (sampled)");
+        "Time a puller spent pushing one batch of notifications, blocked "
+        "on a full queue included");
+    queue_depth = &registry->gauge(
+        "dcv_pipeline_queue_depth",
+        "Notification queue depth, sampled after each batch a puller pushes");
     cycles_total = &registry->counter("dcv_pipeline_cycles_total",
                                       "Monitoring cycles completed");
     revalidation_ratio = &registry->gauge(
@@ -120,7 +129,9 @@ PipelineStats MonitoringPipeline::run_cycle() {
 
   const StepMetrics step_metrics(config_.metrics);
   StepTally tally;
-  NotificationQueue<Notification> queue(config_.queue_capacity);
+  const unsigned validators = std::max(1u, config_.validator_workers);
+  const unsigned pullers = std::max(1u, config_.puller_workers);
+  NotificationQueue<Notification> queue(config_.queue_capacity, validators);
   std::atomic<std::size_t> next_device{0};
   std::atomic<std::uint64_t> fetch_sim_total_ns{0};
   std::atomic<std::uint64_t> fetch_scaled_total_ns{0};
@@ -131,49 +142,74 @@ PipelineStats MonitoringPipeline::run_cycle() {
 
   // Stage 2 — routing-table puller: fetch each device's table (with the
   // production fetch latency, scaled) and post a notification. A failed
-  // fetch costs the cycle coverage, never the cycle.
+  // fetch costs the cycle coverage, never the cycle. Notifications are
+  // handed over in batches of kHandoffBatch, and before every latency
+  // sleep, so a paced run still hands each table over before its next pull
+  // starts; only back-to-back pulls are batched.
   const auto puller = [&](unsigned puller_index) {
     DeviceStep step(verifier_factory_, tally, step_metrics);
     std::mt19937_64 rng(config_.seed * 1315423911u + puller_index);
     std::uniform_int_distribution<std::int64_t> latency_us(
         config_.fetch_latency_min.count(), config_.fetch_latency_max.count());
-    while (true) {
-      const std::size_t i =
-          next_device.fetch_add(1, std::memory_order_relaxed);
-      if (i >= devices.size()) break;
-      const std::chrono::microseconds simulated(latency_us(rng));
-      const auto scaled = std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::duration<double, std::micro>(
-              static_cast<double>(simulated.count())) *
-          config_.time_scale);
-      obs::Span fetch_span("fetch", step_metrics.fetch_latency_ns,
-                           config_.trace);
-      if (scaled.count() > 0) std::this_thread::sleep_for(scaled);
-      FetchOutcome pull = fibs_->try_fetch(devices[i]);
-      fetch_span.stop();
-      if (!step.account(pull)) continue;
-      const auto simulated_ns = static_cast<std::uint64_t>(
-          std::chrono::nanoseconds(simulated).count());
-      fetch_sim_total_ns.fetch_add(simulated_ns, std::memory_order_relaxed);
-      fetch_scaled_total_ns.fetch_add(
-          static_cast<std::uint64_t>(scaled.count()),
-          std::memory_order_relaxed);
-      if (metrics.fetch_sim_ns != nullptr) {
-        metrics.fetch_sim_ns->observe(simulated_ns);
-      }
+    std::vector<Notification> batch;
+    batch.reserve(kHandoffBatch);
+    // Returns false once the queue is closed early (a validator failed).
+    const auto flush = [&] {
+      if (batch.empty()) return true;
       obs::ScopedTimer push_timer(metrics.queue_push_block_ns);
-      const bool posted = queue.push(
-          Notification{.device = devices[i],
-                       .pull = std::move(pull),
-                       .enqueued_at = std::chrono::steady_clock::now()});
+      const bool posted = queue.push(batch);
       push_timer.stop();
-      if (!posted) break;  // closed early: a validator failed
       const std::size_t depth = queue.size();
       live_queue_depth_.store(depth, std::memory_order_relaxed);
       if (metrics.queue_depth != nullptr) {
         metrics.queue_depth->set(static_cast<double>(depth));
       }
+      return posted;
+    };
+    const auto fetch_all = [&] {
+      while (true) {
+        const std::size_t i =
+            next_device.fetch_add(1, std::memory_order_relaxed);
+        if (i >= devices.size()) return;
+        const std::chrono::microseconds simulated(latency_us(rng));
+        const auto scaled =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::duration<double, std::micro>(
+                    static_cast<double>(simulated.count())) *
+                config_.time_scale);
+        if (scaled.count() > 0 && !flush()) return;
+        obs::Span fetch_span("fetch", step_metrics.fetch_latency_ns,
+                             config_.trace);
+        if (scaled.count() > 0) std::this_thread::sleep_for(scaled);
+        FetchOutcome pull = fibs_->try_fetch(devices[i]);
+        fetch_span.stop();
+        if (!step.account(pull)) continue;
+        const auto simulated_ns = static_cast<std::uint64_t>(
+            std::chrono::nanoseconds(simulated).count());
+        fetch_sim_total_ns.fetch_add(simulated_ns, std::memory_order_relaxed);
+        fetch_scaled_total_ns.fetch_add(
+            static_cast<std::uint64_t>(scaled.count()),
+            std::memory_order_relaxed);
+        if (metrics.fetch_sim_ns != nullptr) {
+          metrics.fetch_sim_ns->observe(simulated_ns);
+        }
+        batch.push_back(Notification{
+            .device = devices[i],
+            .pull = std::move(pull),
+            .enqueued_at = metrics.queue_wait_ns != nullptr
+                               ? std::chrono::steady_clock::now()
+                               : std::chrono::steady_clock::time_point{}});
+        if (batch.size() == kHandoffBatch && !flush()) return;
+      }
+    };
+    // What the puller still holds goes out on every exit, a throw included.
+    try {
+      fetch_all();
+    } catch (...) {
+      flush();
+      throw;
     }
+    flush();
   };
 
   // Stage 3 — routing-table validator: join table + contracts, verify (or
@@ -183,35 +219,39 @@ PipelineStats MonitoringPipeline::run_cycle() {
   const auto validator = [&] {
     DeviceStep step(verifier_factory_, tally, step_metrics, cache,
                     config_.trace);
-    while (true) {
-      auto notification = queue.pop();
-      if (!notification) break;
+    std::vector<Notification> batch;
+    batch.reserve(kHandoffBatch);
+    while (queue.pop(batch, kHandoffBatch)) {
       live_queue_depth_.store(queue.size(), std::memory_order_relaxed);
       if (metrics.queue_wait_ns != nullptr) {
-        metrics.queue_wait_ns->observe(static_cast<std::uint64_t>(
-            (std::chrono::steady_clock::now() - notification->enqueued_at)
-                .count()));
-      }
-      obs::Span validate_span("validate", nullptr, config_.trace);
-      const bool degraded = notification->pull.degraded();
-      const std::vector<Violation>& violations = step.verify(
-          notification->device, plan->contracts_for(notification->device),
-          notification->pull.table, degraded);
-      obs::Span report_span("report", nullptr, config_.trace);
-      for (const Violation& v : violations) {
-        const RiskAssessment assessment = risk.assess(v, degraded);
-        if (assessment.level == RiskLevel::kHigh) {
-          alerts_high.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          alerts_low.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (alert_sink_) {
-          const std::lock_guard lock(sink_mutex);
-          alert_sink_(v, assessment);
+        const auto popped_at = std::chrono::steady_clock::now();
+        for (const Notification& notification : batch) {
+          metrics.queue_wait_ns->observe(static_cast<std::uint64_t>(
+              (popped_at - notification.enqueued_at).count()));
         }
       }
-      report_span.stop();
-      validate_span.stop();
+      for (const Notification& notification : batch) {
+        obs::Span validate_span("validate", nullptr, config_.trace);
+        const bool degraded = notification.pull.degraded();
+        const std::vector<Violation>& violations = step.verify(
+            notification.device, plan->contracts_for(notification.device),
+            notification.pull.table, degraded);
+        obs::Span report_span("report", nullptr, config_.trace);
+        for (const Violation& v : violations) {
+          const RiskAssessment assessment = risk.assess(v, degraded);
+          if (assessment.level == RiskLevel::kHigh) {
+            alerts_high.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            alerts_low.fetch_add(1, std::memory_order_relaxed);
+          }
+          if (alert_sink_) {
+            const std::lock_guard lock(sink_mutex);
+            alert_sink_(v, assessment);
+          }
+        }
+        report_span.stop();
+        validate_span.stop();
+      }
     }
   };
 
@@ -221,8 +261,6 @@ PipelineStats MonitoringPipeline::run_cycle() {
   // so the validators drain it and return. A validator closes it on its way
   // out too: a no-op after a drained queue, and after a failure it stops
   // the pullers' pushes.
-  const unsigned validators = std::max(1u, config_.validator_workers);
-  const unsigned pullers = std::max(1u, config_.puller_workers);
   std::atomic<unsigned> pullers_left{pullers};
   exec::run(1 + validators + pullers, [&](unsigned worker) {
     if (worker == 0) return;

@@ -28,8 +28,10 @@ struct PipelineConfig {
   double time_scale = 1.0;
   std::uint64_t seed = 0;
   /// Capacity of the puller→validator notification queue (the cloud-queue
-  /// stand-in). Pullers block when the queue is full — backpressure instead
-  /// of unbounded table buffering. Clamped to ≥ 1.
+  /// stand-in), counted in notifications (one per pulled table) even though
+  /// the stages hand them over in batches. Pullers block when the queue is
+  /// full — backpressure instead of unbounded table buffering. Clamped to
+  /// ≥ 1.
   std::size_t queue_capacity = 256;
   /// Incremental validation (on by default): a device whose fetched handle
   /// is the very table object last validated, or else whose fingerprint
@@ -131,7 +133,8 @@ struct PipelineHealth {
   bool cycle_in_progress = false;
   /// Coverage of the last *completed* cycle (1.0 before the first one).
   double coverage = 1.0;
-  /// Live notification-queue depth (sampled by the workers) and its bound.
+  /// Live notification-queue depth (sampled after each batch a puller
+  /// pushes or a validator pops) and its bound; depth ≤ capacity.
   std::size_t queue_depth = 0;
   std::size_t queue_capacity = 0;
   std::size_t breaker_opens_last_cycle = 0;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
 
 #include "rcdc/flaky_fib_source.hpp"
 #include "rcdc/resilient_fib_source.hpp"
@@ -159,6 +163,149 @@ TEST(MonitoringPipeline, BoundedQueueBackpressuresWithoutLoss) {
   EXPECT_EQ(stats.devices_failed, 0u);
   EXPECT_EQ(stats.violations, 0u);
   EXPECT_GT(stats.contracts_checked, 0u);
+}
+
+/// Counts, per device, the checks of the verifiers it hands out, and wakes
+/// anyone waiting on one.
+class CheckLog {
+ public:
+  explicit CheckLog(std::size_t devices) : checks_(devices, 0) {}
+
+  [[nodiscard]] VerifierFactory factory() {
+    return [this] { return std::make_unique<Recording>(*this); };
+  }
+
+  /// Waits up to `timeout` for `device` to be checked; false on timeout.
+  bool wait_checked(topo::DeviceId device, std::chrono::seconds timeout) {
+    std::unique_lock lock(mutex_);
+    return checked_.wait_for(lock, timeout,
+                             [&] { return checks_[device] > 0; });
+  }
+
+  [[nodiscard]] std::vector<int> checks() {
+    const std::lock_guard lock(mutex_);
+    return checks_;
+  }
+
+ private:
+  class Recording final : public Verifier {
+   public:
+    explicit Recording(CheckLog& log)
+        : log_(&log), inner_(make_trie_verifier_factory()()) {}
+    [[nodiscard]] std::vector<Violation> check(
+        const routing::ForwardingTable& fib,
+        std::span<const Contract> contracts, topo::DeviceId device) override {
+      std::vector<Violation> violations = inner_->check(fib, contracts, device);
+      {
+        const std::lock_guard lock(log_->mutex_);
+        ++log_->checks_[device];
+      }
+      log_->checked_.notify_all();
+      return violations;
+    }
+
+   private:
+    CheckLog* log_;
+    std::unique_ptr<Verifier> inner_;
+  };
+
+  std::mutex mutex_;
+  std::condition_variable checked_;
+  std::vector<int> checks_;
+};
+
+// A paced run hands each pulled table to the validators before its next
+// pull starts: fetching a device waits until the device fetched before it
+// has been checked. A puller that held its notifications back until a batch
+// filled would stall each of those waits for the full 10 s.
+TEST(MonitoringPipeline, PacedPullerHandsOverEachTableBeforeItsNextPull) {
+  class LockstepFibSource final : public FibSource {
+   public:
+    LockstepFibSource(const FibSource& inner, CheckLog& log)
+        : inner_(&inner), log_(&log) {}
+    [[nodiscard]] FetchOutcome try_fetch(
+        topo::DeviceId device) const override {
+      if (previous_ != topo::kInvalidDevice && !timed_out_ &&
+          !log_->wait_checked(previous_, std::chrono::seconds(10))) {
+        timed_out_ = true;
+      }
+      previous_ = device;
+      return inner_->try_fetch(device);
+    }
+    [[nodiscard]] bool timed_out() const { return timed_out_; }
+
+   private:
+    const FibSource* inner_;
+    CheckLog* log_;
+    // One puller fetches, so only its thread touches these.
+    mutable topo::DeviceId previous_ = topo::kInvalidDevice;
+    mutable bool timed_out_ = false;
+  };
+  const auto topology = topo::build_figure3();
+  const topo::MetadataService metadata(topology);
+  const routing::BgpSimulator sim(topology);
+  const SimulatorFibSource inner(sim);
+  CheckLog log(topology.device_count());
+  const LockstepFibSource fibs(inner, log);
+  MonitoringPipeline pipeline(
+      metadata, fibs, log.factory(),
+      PipelineConfig{.puller_workers = 1,
+                     .validator_workers = 1,
+                     .fetch_latency_min = std::chrono::microseconds(1),
+                     .fetch_latency_max = std::chrono::microseconds(1),
+                     .time_scale = 1.0,
+                     .incremental = false});
+  const auto stats = pipeline.run_cycle();
+  EXPECT_FALSE(fibs.timed_out());
+  EXPECT_GT(stats.devices, 1u);
+  std::size_t checked = 0;
+  for (const int count : log.checks()) {
+    checked += static_cast<std::size_t>(count);
+  }
+  EXPECT_EQ(checked, stats.devices);
+}
+
+// Back-to-back pulls are batched, yet every device is verified exactly once
+// and the queue never holds more notifications than its capacity — also
+// when the capacity is smaller than a batch, or not a divisor of it.
+TEST(MonitoringPipeline, ZeroLatencyBatchesVerifyEachDeviceExactlyOnce) {
+  const auto topology = topo::build_clos(
+      topo::ClosParams{.clusters = 8, .tors_per_cluster = 16});
+  const topo::MetadataService metadata(topology);
+  const routing::BgpSimulator sim(topology);
+  const SimulatorFibSource fibs(sim);
+  for (const std::size_t capacity : {1u, 3u, 256u}) {
+    SCOPED_TRACE(capacity);
+    CheckLog log(topology.device_count());
+    MonitoringPipeline pipeline(metadata, fibs, log.factory(),
+                                PipelineConfig{.puller_workers = 8,
+                                               .validator_workers = 2,
+                                               .time_scale = 0.0,
+                                               .seed = 5,
+                                               .queue_capacity = capacity,
+                                               .incremental = false});
+    std::atomic<bool> done{false};
+    std::atomic<std::size_t> max_depth{0};
+    std::thread reader([&] {
+      while (!done.load()) {
+        const std::size_t depth = pipeline.health().queue_depth;
+        if (depth > max_depth.load()) max_depth.store(depth);
+        std::this_thread::yield();
+      }
+    });
+    const auto stats = pipeline.run_cycle();
+    done.store(true);
+    reader.join();
+    ASSERT_GE(stats.devices, 4u * 32u);
+    EXPECT_EQ(stats.devices_failed, 0u);
+    std::size_t checked = 0;
+    for (const int count : log.checks()) {
+      EXPECT_LE(count, 1);
+      checked += static_cast<std::size_t>(count);
+    }
+    EXPECT_EQ(checked, stats.devices);
+    EXPECT_LE(max_depth.load(), capacity);
+  }
 }
 
 TEST(MonitoringPipeline, StatsMeansMatchTotals) {
