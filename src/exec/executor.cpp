@@ -1,5 +1,7 @@
 #include "exec/executor.hpp"
 
+#include <sched.h>
+
 #include <condition_variable>
 #include <exception>
 #include <memory>
@@ -100,7 +102,15 @@ class Cache {
 
 unsigned default_threads(unsigned configured) {
   if (configured != 0) return configured;
-  return std::clamp(std::thread::hardware_concurrency(), 1u, 16u);
+  // The CPUs this thread may run on: a process pinned with taskset or a
+  // cpuset gets as many workers as it has CPUs, not as the host has.
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  const unsigned cpus =
+      sched_getaffinity(0, sizeof(allowed), &allowed) == 0
+          ? static_cast<unsigned>(CPU_COUNT(&allowed))
+          : std::thread::hardware_concurrency();
+  return std::clamp(cpus, 1u, 16u);
 }
 
 void run(unsigned workers, const std::function<void(unsigned)>& job) {

@@ -7,8 +7,10 @@
 
 namespace dcv::exec {
 
-/// `configured`, or for 0 the hardware default: the hardware concurrency
-/// clamped to [1, 16]. The one place a thread count of 0 is resolved.
+/// `configured`, or for 0 the hardware default: the number of CPUs the
+/// calling thread may run on (its affinity mask; the hardware concurrency
+/// if that cannot be read), clamped to [1, 16]. The one place a thread
+/// count of 0 is resolved.
 [[nodiscard]] unsigned default_threads(unsigned configured = 0);
 
 /// Calls job(w) once for each w in [0, workers), each on a thread of its

@@ -57,6 +57,16 @@ struct Contract {
   friend bool operator==(const Contract&, const Contract&) = default;
 };
 
+/// A device's check order (ContractPlan's): default contracts first, then
+/// specific ones by ascending prefix.
+[[nodiscard]] inline bool in_check_order(const Contract& a,
+                                         const Contract& b) {
+  const bool a_default = a.kind == ContractKind::kDefault;
+  const bool b_default = b.kind == ContractKind::kDefault;
+  if (a_default != b_default) return a_default;
+  return a.prefix < b.prefix;
+}
+
 /// True iff an observed next-hop set satisfies the contract's matching mode.
 /// Accepts any sorted next-hop view (Rule vectors, arena-backed Rib slices)
 /// without materializing a copy.

@@ -165,12 +165,7 @@ ContractPlan::ContractPlan(std::uint64_t epoch,
     // rule, no walk), then specific contracts in ascending prefix order so
     // successive walks search nearby rules of the sorted table.
     std::stable_sort(entry.contracts.begin(), entry.contracts.end(),
-                     [](const Contract& a, const Contract& b) {
-                       const bool a_default = a.kind == ContractKind::kDefault;
-                       const bool b_default = b.kind == ContractKind::kDefault;
-                       if (a_default != b_default) return a_default;
-                       return a.prefix < b.prefix;
-                     });
+                     in_check_order);
     total_contracts_ += entry.contracts.size();
   }
 }

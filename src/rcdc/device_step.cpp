@@ -95,29 +95,23 @@ std::vector<Violation> DeviceStep::check(topo::DeviceId device,
 
 std::vector<Violation> DeviceStep::recheck(
     topo::DeviceId device, std::span<const Contract> contracts,
-    const routing::ForwardingTable& before,
     const std::vector<Violation>& before_violations,
-    const routing::ForwardingTable& after, bool degraded) {
+    const routing::ForwardingTable& after, std::span<const net::Prefix> changed,
+    bool degraded) {
   obs::Span verify_span("verify", metrics_->validate_latency_ns, trace_);
   // A default contract reads only the default rule, and a specific one
   // exactly the rules related to its prefix (nested in it or containing
   // it): the rules whose address range meets its own. A changed default
   // route meets every range, so it touches every contract.
-  const routing::Rule* const old_default = before.default_route();
-  const routing::Rule* const new_default = after.default_route();
-  const bool default_changed =
-      old_default == nullptr || new_default == nullptr
-          ? old_default != new_default
-          : *old_default != *new_default;
+  const bool default_changed = std::ranges::any_of(
+      changed, [](const net::Prefix& prefix) { return prefix.is_default(); });
   touched_.clear();
   if (!default_changed) {
-    changed_.clear();
-    routing::diff_rules(before, after, changed_);
     // The changed rules' ranges by start address. Prefixes nest or are
     // disjoint, so a range inside the last one kept adds nothing and the
-    // kept ones are disjoint and sorted by end too.
+    // kept ones are disjoint.
     ranges_.clear();
-    for (const net::Prefix& prefix : changed_) {
+    for (const net::Prefix& prefix : changed) {
       ranges_.push_back(net::AddressInterval::from_prefix(prefix));
     }
     std::sort(ranges_.begin(), ranges_.end(),
@@ -131,18 +125,46 @@ std::vector<Violation> DeviceStep::recheck(
       }
     }
     ranges_.resize(distinct);
-    for (std::size_t i = 0; i < contracts.size(); ++i) {
-      if (contracts[i].kind == ContractKind::kDefault) continue;
-      const auto range = net::AddressInterval::from_prefix(contracts[i].prefix);
-      const auto meets = std::lower_bound(
-          ranges_.begin(), ranges_.end(), range,
-          [](const net::AddressInterval& a, const net::AddressInterval& b) {
-            return a.hi < b.lo;
-          });
-      if (meets != ranges_.end() && !(range.hi < meets->lo)) {
-        touched_.push_back(i);
+    // The specific contracts follow the default ones by ascending prefix.
+    // One that meets a range either starts inside it — one run, found by
+    // one search — or contains it, and then starts at one of the range's
+    // truncations below it: one search per distinct truncated start.
+    const auto specific = std::partition_point(
+        contracts.begin(), contracts.end(), [](const Contract& contract) {
+          return contract.kind == ContractKind::kDefault;
+        });
+    const auto starts_below = [](const Contract& contract,
+                                 std::uint32_t start) {
+      return contract.prefix.network().value() < start;
+    };
+    const auto touch = [&](auto it) {
+      touched_.push_back(static_cast<std::size_t>(it - contracts.begin()));
+    };
+    for (const net::AddressInterval& range : ranges_) {
+      auto below = std::lower_bound(specific, contracts.end(),
+                                    range.lo.value(), starts_below);
+      for (auto it = below;
+           it != contracts.end() && !(range.hi < it->prefix.network());
+           ++it) {
+        touch(it);
+      }
+      for (std::uint32_t start = range.lo.value();
+           start != 0 && below != specific;) {
+        start &= start - 1;  // the next shorter truncation that starts lower
+        const auto first =
+            std::lower_bound(specific, below, start, starts_below);
+        for (auto it = first;
+             it != below && it->prefix.network().value() == start; ++it) {
+          if (net::AddressInterval::from_prefix(it->prefix).contains(range)) {
+            touch(it);
+          }
+        }
+        below = first;
       }
     }
+    std::sort(touched_.begin(), touched_.end());
+    touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                   touched_.end());
   }
 
   std::size_t checked = default_changed ? contracts.size() : touched_.size();
@@ -162,30 +184,49 @@ std::vector<Violation> DeviceStep::recheck(
           device);
     }
     // The verifier reports contract by contract, in contract order: merge
-    // the two lists by walking the contracts once.
+    // the two lists by contract index. Each run of kept violations finds
+    // its contract by a forward search in check order; a run that finds
+    // none means the earlier verdict was not in the verifier's order, and
+    // then its violations cannot be matched to contracts: check in full.
     violations.reserve(before_violations.size() + fresh.size());
-    auto kept = before_violations.begin();
     auto rechecked = fresh.begin();
     auto next_touched = touched_.begin();
-    for (std::size_t i = 0; i < contracts.size(); ++i) {
-      const Contract& contract = contracts[i];
-      const auto kept_end = std::find_if(
-          kept, before_violations.end(),
-          [&contract](const Violation& v) { return v.contract != contract; });
-      if (next_touched != touched_.end() && *next_touched == i) {
-        ++next_touched;
+    const auto take_rechecked = [&](std::size_t end) {
+      for (; next_touched != touched_.end() && *next_touched < end;
+           ++next_touched) {
+        const Contract& contract = contracts[*next_touched];
         for (; rechecked != fresh.end() && rechecked->contract == contract;
              ++rechecked) {
           violations.push_back(std::move(*rechecked));
         }
+      }
+    };
+    auto from = contracts.begin();
+    auto kept = before_violations.begin();
+    while (kept != before_violations.end()) {
+      const Contract& contract = kept->contract;
+      const auto kept_end = std::find_if(
+          kept, before_violations.end(),
+          [&contract](const Violation& v) { return v.contract != contract; });
+      auto it = std::lower_bound(from, contracts.end(), contract,
+                                 in_check_order);
+      while (it != contracts.end() && !in_check_order(contract, *it) &&
+             *it != contract) {
+        ++it;
+      }
+      if (it == contracts.end() || *it != contract) break;
+      const auto index = static_cast<std::size_t>(it - contracts.begin());
+      take_rechecked(index);
+      if (next_touched != touched_.end() && *next_touched == index) {
+        take_rechecked(index + 1);  // rechecked: the kept run goes
       } else {
         violations.insert(violations.end(), kept, kept_end);
       }
+      from = it + 1;
       kept = kept_end;
     }
+    take_rechecked(contracts.size());
     if (kept != before_violations.end()) {
-      // The earlier verdict was not in the verifier's order, so its
-      // violations cannot be matched to contracts: check in full.
       checked = contracts.size();
       violations = verifier_->check(after, contracts, device);
     }
@@ -204,12 +245,25 @@ const std::vector<Violation>& DeviceStep::verify(
       cache_->lookup(device, table, metrics_->fingerprint_ns);
   if (hit.violations == nullptr) {
     const routing::FibPtr& previous = cache_->table(device);
-    return cache_->store(
-        device, table, hit.fingerprint,
-        previous == nullptr
-            ? check(device, contracts, table, degraded)
-            : recheck(device, contracts, *previous,
-                      cache_->violations(device), *table, degraded));
+    if (previous == nullptr) {
+      return cache_->store(device, table, hit.fingerprint,
+                           check(device, contracts, table, degraded));
+    }
+    // A changed default route touches every contract, so the other changed
+    // rules need not be listed.
+    const routing::Rule* const old_default = previous->default_route();
+    const routing::Rule* const new_default = table->default_route();
+    changed_.clear();
+    if (old_default == nullptr || new_default == nullptr
+            ? old_default != new_default
+            : *old_default != *new_default) {
+      changed_.push_back(net::Prefix::default_route());
+    } else {
+      routing::diff_rules(*previous, *table, changed_);
+    }
+    return cache_->store(device, table, hit.fingerprint,
+                         recheck(device, contracts, cache_->violations(device),
+                                 *table, changed_, degraded));
   }
   // The "cached" vs "verify" span tells the two outcomes apart in traces.
   obs::Span cached_span("cached", nullptr, trace_);

@@ -99,17 +99,23 @@ class DeviceStep {
   /// prefix overlaps the contract's, so only the contracts a changed rule
   /// touches run through the verifier — a changed default route touches
   /// every contract — and every other contract keeps its violations from
-  /// `before_violations`, what check() or recheck() returned for `before`
-  /// against the same `contracts`. The result is element for element the
-  /// verifier's own output for `after`; a `before_violations` not in the
-  /// verifier's order cannot be split by contract and gets a full check.
-  /// Accounts the result like check(), counting only the rechecked
-  /// contracts as checked.
+  /// `before_violations`, what check() or recheck() returned for the
+  /// earlier table against the same `contracts`. `changed` lists (in any
+  /// order) every prefix whose rule differs between the two tables — added,
+  /// removed, re-hopped or flipped `connected` (diff_rules() computes it) —
+  /// and may list unchanged ones too, at the cost of rechecking what they
+  /// touch. `contracts` come in ContractPlan's check order: default
+  /// contracts first, then specific ones by ascending prefix; the touched
+  /// ones are found by binary searches per changed range. The result is
+  /// element for element the verifier's own output for `after`; a
+  /// `before_violations` not in the verifier's order cannot be split by
+  /// contract and gets a full check. Accounts the result like check(),
+  /// counting only the rechecked contracts as checked.
   std::vector<Violation> recheck(topo::DeviceId device,
                                  std::span<const Contract> contracts,
-                                 const routing::ForwardingTable& before,
                                  const std::vector<Violation>& before_violations,
                                  const routing::ForwardingTable& after,
+                                 std::span<const net::Prefix> changed,
                                  bool degraded);
 
   /// check() through the step's cache: a table the cache already holds a
@@ -136,7 +142,7 @@ class DeviceStep {
   obs::TraceRing* trace_;
   std::unique_ptr<Verifier> verifier_;
   std::vector<Violation> fresh_;
-  // recheck() scratch, retained across devices.
+  // verify()'s diff and recheck() scratch, retained across devices.
   std::vector<net::Prefix> changed_;
   std::vector<net::AddressInterval> ranges_;
   std::vector<std::size_t> touched_;

@@ -34,6 +34,11 @@ NetworkChange shut_links(std::string description,
 
 namespace {
 
+std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      (std::chrono::steady_clock::now() - start).count());
+}
+
 std::vector<Violation> validate_emulated(const routing::BgpSimulator& simulator,
                                          const topo::MetadataService& intent,
                                          ContractGenOptions options,
@@ -102,15 +107,16 @@ PrecheckSession::PrecheckSession(const topo::Topology& production,
       simulator_(emulated_, nullptr, nullptr, {.threads = threads_}),
       verifier_factory_(make_trie_verifier_factory()),
       steps_(threads_),
-      fib_scratch_(threads_) {
+      diff_scratch_(threads_) {
   if (metrics != nullptr) {
     const auto phase = [metrics](const char* name) {
       return &metrics->histogram(
           "dcv_precheck_phase_ns",
           "Per-change precheck time, by phase: reconverge (apply + warm "
-          "reconverge), diff (new tables and their exact compare with the "
-          "baseline) and verify (delta recheck), each summed over the "
-          "changed devices, and rollback (topology restore + undo log)",
+          "reconverge), diff (the changed rules compared with the "
+          "baseline's, the new table patched in over the baseline and put "
+          "back) and verify (delta recheck), each summed over the changed "
+          "devices, and rollback (topology restore + undo log)",
           {{"phase", name}});
     };
     reconverge_ns_ = phase("reconverge");
@@ -123,15 +129,17 @@ PrecheckSession::PrecheckSession(const topo::Topology& production,
         "baseline verdict");
   }
   // The one cold pass: converge (done by the simulator constructor),
-  // validate everything, and pin every device's baseline table with its
-  // verdict. Rollback restores these very handles to the simulator's cache;
-  // a changed device's new table is compared with its baseline table.
+  // validate everything, and keep every device's baseline table with its
+  // verdict. The session owns these tables (the simulator never
+  // materializes its own), so a check can patch a changed device's table
+  // in place for its recheck and put it back.
   baseline_.resize(base_.device_count());
   exec::for_each(threads_, baseline_.size(), [&](unsigned worker,
                                                  std::size_t d) {
     const auto device = static_cast<topo::DeviceId>(d);
     Baseline& base = baseline_[d];
-    base.table = simulator_.fib_handle(device);
+    base.table = std::make_shared<routing::ForwardingTable>(
+        routing::program_fib(simulator_.rib(device), nullptr, device));
     const std::span<const Contract> contracts = plan_->contracts_for(device);
     if (!contracts.empty()) {
       base.violations = step(worker).check(device, contracts, base.table,
@@ -142,6 +150,48 @@ PrecheckSession::PrecheckSession(const topo::Topology& production,
     baseline_total_ += base.violations.size();
   }
   (void)simulator_.take_changed_devices();  // the cold run marked everything
+}
+
+bool PrecheckSession::DiffScratch::collect(
+    const routing::Rib& rib, const routing::ForwardingTable& baseline,
+    const std::vector<net::Prefix>& candidates) {
+  prefixes.clear();
+  patches.clear();
+  for (const net::Prefix& prefix : candidates) {
+    const routing::RibEntry* entry = rib.find(prefix);
+    const routing::Rule* old = baseline.find(prefix);
+    const std::size_t k = prefixes.size();
+    if (rules.size() == k) rules.emplace_back();
+    if (entry != nullptr) {
+      routing::assign_rule(rib, *entry, rules[k]);
+      if (old != nullptr && *old == rules[k]) continue;
+    } else if (old == nullptr) {
+      continue;
+    }
+    prefixes.push_back(prefix);
+    patches.push_back(entry != nullptr ? Patch::kReplace : Patch::kRemove);
+  }
+  return !prefixes.empty();
+}
+
+void PrecheckSession::DiffScratch::patch(routing::ForwardingTable& table) {
+  for (std::size_t k = 0; k < prefixes.size(); ++k) {
+    if (patches[k] == Patch::kRemove) {
+      table.extract(prefixes[k], rules[k]);
+    } else if (!table.exchange(rules[k])) {
+      patches[k] = Patch::kInsert;
+    }
+  }
+}
+
+void PrecheckSession::DiffScratch::unpatch(routing::ForwardingTable& table) {
+  for (std::size_t k = 0; k < prefixes.size(); ++k) {
+    if (patches[k] == Patch::kInsert) {
+      table.extract(prefixes[k], rules[k]);
+    } else {
+      table.exchange(rules[k]);
+    }
+  }
 }
 
 DeviceStep& PrecheckSession::step(unsigned worker) {
@@ -192,15 +242,17 @@ PrecheckResult PrecheckSession::check(const NetworkChange& change) {
   reconverge_timer.stop();
 
   // A device the reconvergence did not touch still serves its baseline
-  // table; a touched one diverges unless its new table equals the
-  // baseline's rule for rule (the compare stops at the first difference),
-  // and is then rechecked against it. Each new table is programmed (the
-  // emulator runs without device faults) outside the simulator's cache,
-  // into its worker's recycled rules, and released after its recheck, so a
-  // check never holds every changed device's baseline and new tables at
-  // once; rollback() puts the baseline handles back in the cache.
+  // table. A touched one lists the prefixes whose RIB entry changed; the
+  // rule of each (the emulator runs without device faults) is compared
+  // with the baseline's, and the device diverges iff one differs. Its
+  // baseline table is then patched with exactly those rules, rechecked
+  // from them, and put back.
   const std::vector<topo::DeviceId> changed = simulator_.take_changed_devices();
   const bool timed = diff_ns_ != nullptr;
+  const auto now = [timed] {
+    return timed ? std::chrono::steady_clock::now()
+                 : std::chrono::steady_clock::time_point{};
+  };
   std::vector<std::uint64_t> diff_ns(timed ? changed.size() : 0);
   std::vector<std::uint8_t> divergent(changed.size(), 0);
   std::vector<std::vector<Violation>> post(changed.size());
@@ -208,24 +260,32 @@ PrecheckResult PrecheckSession::check(const NetworkChange& change) {
   const std::uint64_t verify_ns_before = tally_.verify_ns.load();
   exec::for_each(threads_, changed.size(), [&](unsigned worker, std::size_t i) {
     const topo::DeviceId device = changed[i];
-    const auto start = timed ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point{};
-    const Baseline& base = baseline_[device];
-    std::vector<routing::Rule>& scratch = fib_scratch_[worker];
-    routing::ForwardingTable table = routing::program_fib(
-        simulator_.rib(device), nullptr, device, std::move(scratch));
-    const bool same = table == *base.table;
-    if (timed) {
-      diff_ns[i] = static_cast<std::uint64_t>(
-          (std::chrono::steady_clock::now() - start).count());
+    auto start = now();
+    const std::vector<net::Prefix>* prefixes =
+        simulator_.changed_prefixes(device);
+    if (prefixes == nullptr) {
+      // Only a cold run or a FIB-fault flip changes a whole table, and the
+      // session refuses reshaping changes and emulates no faults.
+      throw std::logic_error("precheck session: whole-table change");
     }
-    if (!same) {
+    Baseline& base = baseline_[device];
+    DiffScratch& scratch = diff_scratch_[worker];
+    if (scratch.collect(simulator_.rib(device), *base.table, *prefixes)) {
       divergent[i] = 1;
-      post[i] = step(worker).recheck(device, plan_->contracts_for(device),
-                                     *base.table, base.violations, table,
-                                     false);
+      scratch.patch(*base.table);
+      try {
+        if (timed) diff_ns[i] = elapsed_ns(start);
+        post[i] = step(worker).recheck(device, plan_->contracts_for(device),
+                                       base.violations, *base.table,
+                                       scratch.prefixes, false);
+      } catch (...) {
+        scratch.unpatch(*base.table);
+        throw;
+      }
+      start = now();
+      scratch.unpatch(*base.table);
     }
-    scratch = std::move(table).release();
+    if (timed) diff_ns[i] += elapsed_ns(start);
   });
   const std::size_t revalidated = static_cast<std::size_t>(
       std::count(divergent.begin(), divergent.end(), 1));

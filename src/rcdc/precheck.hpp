@@ -94,25 +94,26 @@ class PrecheckPipeline {
 /// emulator instead of a clone-and-cold-converge per request.
 ///
 /// Construction pays the full cost once — clone the production topology,
-/// cold-converge the simulator, validate the baseline and pin every
-/// device's baseline FIB handle with its verdict. Each change then costs
-/// O(changed rules), not O(changed devices × contracts):
+/// cold-converge the simulator, validate the baseline and keep every
+/// device's baseline table with its verdict. Each change then costs
+/// O(changed routes), not O(changed devices × rules or contracts):
 ///
 ///   checkpoint → apply → warm reconverge (worklist seeded from exactly the
-///   touched devices, propagating only changed exports) → build the new
-///   table of each changed device and compare it with its baseline table
-///   → recheck each one that differs → restore the topology → rollback.
+///   touched devices, propagating only changed exports, splicing changed
+///   entries in place) → for each changed device, build the rule of each
+///   prefix whose RIB entry changed and compare it with the baseline's →
+///   patch each device where one differs in place, recheck it from those
+///   rules and put the baseline back → restore the topology → rollback.
 ///
-/// The compare is exact (ForwardingTable equality, which stops at the first
-/// differing rule), so the baseline keeps no fingerprints. The recheck
-/// (DeviceStep::recheck) merge-diffs the device's table against its
-/// baseline and runs the verifier only on the contracts a changed rule
-/// touches, keeping the baseline verdict of the rest. The rollback swaps
-/// the simulator's undo log back (BgpSimulator::checkpoint/rollback) at
-/// O(changed devices) cost instead of reconverging a second time, and puts
-/// the very baseline handles back, so pinning them costs no second copy.
-/// Checks are independent (no rollout semantics); a batch of K changes
-/// costs K reconvergences plus K rollbacks.
+/// The compare is exact (rule equality), so the baseline keeps no
+/// fingerprints, and no table is copied or rebuilt. The recheck
+/// (DeviceStep::recheck) runs the verifier only on the contracts a changed
+/// rule touches, keeping the baseline verdict of the rest. The rollback
+/// puts the entries the trial displaced back from the simulator's undo
+/// log (BgpSimulator::checkpoint/rollback) at O(changed entries) cost
+/// instead of reconverging a second time. Checks are independent (no
+/// rollout semantics); a batch of K changes costs K reconvergences plus K
+/// rollbacks.
 ///
 /// Not thread-safe: one session serves one gate thread (or is externally
 /// serialized — the change-gate batcher does exactly that).
@@ -177,20 +178,38 @@ class PrecheckSession {
   StepMetrics step_metrics_{nullptr};
   StepTally tally_;
   std::vector<std::optional<DeviceStep>> steps_;
-  /// Per-worker rules of the last table programmed for a diff, handed to
-  /// the next one so it reuses their next-hop storage.
-  std::vector<std::vector<routing::Rule>> fib_scratch_;
+  /// One worker's diff of a changed device, reused across devices and
+  /// checks.
+  struct DiffScratch {
+    enum class Patch : std::uint8_t { kReplace, kInsert, kRemove };
+    /// Finds the `candidates` whose rule, built from `rib`, differs from
+    /// the `baseline` table's (withdrawn ones included) and fills
+    /// `prefixes`, `rules` and `patches` for them; returns whether any does.
+    bool collect(const routing::Rib& rib,
+                 const routing::ForwardingTable& baseline,
+                 const std::vector<net::Prefix>& candidates);
+    /// Swaps the collected rules into `table`, keeping the ones they
+    /// displace in `rules`; unpatch() swaps them back.
+    void patch(routing::ForwardingTable& table);
+    void unpatch(routing::ForwardingTable& table);
+
+    std::vector<net::Prefix> prefixes;  // whose rule differs
+    std::vector<routing::Rule> rules;   // parallel to prefixes
+    std::vector<Patch> patches;         // parallel to prefixes
+  };
+  std::vector<DiffScratch> diff_scratch_;
 
   /// One device's baseline table and the violations found on it.
   struct Baseline {
-    routing::FibPtr table;
+    std::shared_ptr<routing::ForwardingTable> table;
     std::vector<Violation> violations;
   };
 
   std::size_t baseline_total_ = 0;
   /// Per-device baselines, indexed by device id: filled once by the cold
-  /// pass, then only read. A changed device diverges from the baseline
-  /// exactly when its new table differs from `table`.
+  /// pass. A changed device diverges from the baseline exactly when one of
+  /// its changed rules differs from `table`'s; its check patches `table`
+  /// and puts it back.
   std::vector<Baseline> baseline_;
 
   std::uint64_t checks_run_ = 0;

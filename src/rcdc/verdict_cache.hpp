@@ -24,7 +24,8 @@ namespace dcv::rcdc {
 /// epoch. A lookup tries pointer identity with the stored handle first
 /// (sources hand out the same object while a table is unchanged), then the
 /// fingerprint, and only then misses. On a miss the pinned table and its
-/// violations are what DeviceStep::recheck() diffs the new table against.
+/// violations are what DeviceStep::verify() diffs the new table against
+/// and rechecks from.
 ///
 /// Each device's entry may be touched by one thread at a time; different
 /// devices may be looked up and stored concurrently.

@@ -36,6 +36,12 @@ bool exports_equal(const RibEntry& a, const RibEntry& b) {
          a.origin_datacenter == b.origin_datacenter;
 }
 
+void sort_unique(std::vector<net::Prefix>& prefixes) {
+  std::sort(prefixes.begin(), prefixes.end());
+  prefixes.erase(std::unique(prefixes.begin(), prefixes.end()),
+                 prefixes.end());
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -69,6 +75,7 @@ void Rib::append(const net::Prefix& prefix, PathId path,
   } else {
     entry.hop_words[0] = static_cast<std::uint32_t>(arena_.size());
     arena_.insert(arena_.end(), hops.begin(), hops.end());
+    live_hops_ += hops.size();
   }
   entries_.push_back(entry);
 }
@@ -80,11 +87,113 @@ void Rib::sort_by_prefix() {
             });
 }
 
+RibEntry Rib::adopt(const Rib& source, const RibEntry& entry) {
+  RibEntry record = entry;
+  if (!entry.hops_inline()) {
+    const std::span<const DeviceId> hops = source.next_hops(entry);
+    record.hop_words[0] = static_cast<std::uint32_t>(arena_.size());
+    arena_.insert(arena_.end(), hops.begin(), hops.end());
+  }
+  return record;
+}
+
+void Rib::splice(std::span<const RibEntry> records,
+                 std::span<const net::Prefix> removed,
+                 std::vector<Displaced>* displaced) {
+  // Replacements land in place; inserts go after the old entries, for one
+  // merge at the end. Both walks search the old entries forward only.
+  const std::size_t old_size = entries_.size();
+  const auto position = [this](std::size_t index) {
+    return entries_.begin() + static_cast<std::ptrdiff_t>(index);
+  };
+  const auto seek = [&](std::size_t from, const net::Prefix& prefix) {
+    return static_cast<std::size_t>(
+        std::lower_bound(position(from), position(old_size), prefix,
+                         [](const RibEntry& e, const net::Prefix& p) {
+                           return e.prefix < p;
+                         }) -
+        entries_.begin());
+  };
+  const auto absent = [displaced](const net::Prefix& prefix) {
+    if (displaced != nullptr) {
+      displaced->push_back({RibEntry{.prefix = prefix}, false});
+    }
+  };
+  std::size_t at = 0;
+  for (auto it = records.begin(); it != records.end(); ++it) {
+    const RibEntry& record = *it;
+    at = seek(at, record.prefix);
+    live_hops_ += arena_hops(record);
+    if (at < old_size && entries_[at].prefix == record.prefix) {
+      if (displaced != nullptr) displaced->push_back({entries_[at], true});
+      live_hops_ -= arena_hops(entries_[at]);
+      entries_[at] = record;
+    } else {
+      absent(record.prefix);
+      if (entries_.size() == old_size) {
+        // Room for every record left, rather than doubling the entries.
+        entries_.reserve(old_size +
+                         static_cast<std::size_t>(records.end() - it));
+      }
+      entries_.push_back(record);
+    }
+  }
+  std::size_t removals = 0;
+  at = 0;
+  for (const net::Prefix& prefix : removed) {
+    at = seek(at, prefix);
+    if (at == old_size || entries_[at].prefix != prefix) {
+      absent(prefix);
+      continue;
+    }
+    if (displaced != nullptr) displaced->push_back({entries_[at], true});
+    live_hops_ -= arena_hops(entries_[at]);
+    ++removals;
+  }
+  auto middle = position(old_size);
+  if (removals > 0) {
+    auto next = removed.begin();
+    const auto kept = std::remove_if(
+        entries_.begin(), middle, [&](const RibEntry& entry) {
+          while (next != removed.end() && *next < entry.prefix) ++next;
+          return next != removed.end() && *next == entry.prefix;
+        });
+    const auto end = std::move(middle, entries_.end(), kept);
+    entries_.erase(end, entries_.end());
+    middle = kept;
+  }
+  if (middle != entries_.end()) {
+    std::inplace_merge(entries_.begin(), middle, entries_.end(),
+                       [](const RibEntry& a, const RibEntry& b) {
+                         return a.prefix < b.prefix;
+                       });
+  }
+}
+
+void Rib::compact_arena() {
+  std::vector<DeviceId> packed;
+  packed.reserve(live_hops_ + live_hops_ / 4);
+  for (RibEntry& entry : entries_) {
+    if (entry.hops_inline()) continue;
+    const std::span<const DeviceId> hops = next_hops(entry);
+    entry.hop_words[0] = static_cast<std::uint32_t>(packed.size());
+    packed.insert(packed.end(), hops.begin(), hops.end());
+  }
+  arena_ = std::move(packed);
+}
+
 // ---------------------------------------------------------------------------
 // FIB programming (shared with ReferenceBgpSimulator)
 
+void assign_rule(const Rib& rib, const RibEntry& entry, Rule& rule) {
+  const std::span<const DeviceId> hops = rib.next_hops(entry);
+  rule.prefix = entry.prefix;
+  rule.next_hops.assign(hops.begin(), hops.end());
+  rule.connected = entry.connected;
+}
+
 ForwardingTable program_fib(const Rib& rib, const topo::FaultInjector* faults,
-                            topo::DeviceId device, std::vector<Rule> scratch) {
+                            topo::DeviceId device) {
   const bool rib_fib_bug =
       faults != nullptr &&
       faults->device_has_fault(device,
@@ -94,24 +203,21 @@ ForwardingTable program_fib(const Rib& rib, const topo::FaultInjector* faults,
       faults->device_has_fault(device,
                                topo::DeviceFaultKind::kEcmpSingleNextHop);
 
-  scratch.resize(rib.size());
-  auto rule = scratch.begin();
+  std::vector<Rule> rules(rib.size());
+  auto rule = rules.begin();
   for (const RibEntry& entry : rib) {
-    std::span<const DeviceId> hops = rib.next_hops(entry);
+    assign_rule(rib, entry, *rule);
     // "Software Bug 1": the FIB retains far fewer next hops for the default
     // route than the RIB computed (§2.6.2).
     // ECMP misconfiguration: a single next hop is programmed everywhere
     // instead of the full available set (§2.6.2 "Policy Errors").
     if ((rib_fib_bug && entry.prefix.is_default()) || ecmp_bug) {
-      hops = hops.first(std::min<std::size_t>(hops.size(), 1));
+      rule->next_hops.resize(std::min<std::size_t>(rule->next_hops.size(), 1));
     }
-    rule->prefix = entry.prefix;
-    rule->next_hops.assign(hops.begin(), hops.end());
-    rule->connected = entry.connected;
     ++rule;
   }
   // The RIB is in prefix order, so the bulk build is one bucket pass.
-  return ForwardingTable(std::move(scratch));
+  return ForwardingTable(std::move(rules));
 }
 
 // ---------------------------------------------------------------------------
@@ -121,8 +227,8 @@ struct BgpSimulator::WorkerState {
   std::vector<Candidate> candidates;
   std::vector<DeviceId> hops_scratch;
   std::vector<Asn> path_scratch;
-  /// Recomputed entries; only moved out when the device actually changed,
-  /// so the storage is reused across the (common) unchanged devices.
+  /// Recomputed entries, compared in place with the device's RIB; the
+  /// storage is reused across devices.
   Rib fresh;
   /// Rewrite memos: intern() results are pure functions of their inputs, so
   /// one hash probe replaces the stripe lock + payload copy on repeats.
@@ -215,29 +321,44 @@ std::size_t BgpSimulator::route_state_bytes() const {
   return total;
 }
 
-void BgpSimulator::invalidate_fib(topo::DeviceId device) {
+BgpSimulator::Change& BgpSimulator::invalidate_fib(topo::DeviceId device) {
   (void)undo_entry(device);  // logs the handle before it is dropped
   {
     const std::lock_guard lock(fib_locks_[device % fib_locks_.size()]);
     fib_cache_[device].reset();
   }
-  if (changed_mark_.size() < topology_->device_count()) {
-    changed_mark_.resize(topology_->device_count(), 0);
+  if (changes_.size() < topology_->device_count()) {
+    changes_.resize(topology_->device_count());
   }
-  if (changed_mark_[device] == 0) {
-    changed_mark_[device] = 1;
+  Change& change = changes_[device];
+  if (!change.marked) {
+    // A drained record's prefixes stay readable until the device changes
+    // again.
+    change.marked = true;
+    change.whole = false;
+    change.prefixes.clear();
     changed_list_.push_back(device);
   }
+  return change;
 }
 
 std::vector<topo::DeviceId> BgpSimulator::take_changed_devices() {
   std::vector<topo::DeviceId> drained = std::move(changed_list_);
   changed_list_.clear();
   for (const topo::DeviceId device : drained) {
-    if (device < changed_mark_.size()) changed_mark_[device] = 0;
+    Change& change = changes_[device];
+    change.marked = false;
+    sort_unique(change.prefixes);
   }
   std::sort(drained.begin(), drained.end());
   return drained;
+}
+
+const std::vector<net::Prefix>* BgpSimulator::changed_prefixes(
+    topo::DeviceId device) const {
+  if (device >= changes_.size()) throw InvalidArgument("bad device id");
+  const Change& change = changes_[device];
+  return change.whole ? nullptr : &change.prefixes;
 }
 
 void BgpSimulator::snapshot_state() {
@@ -339,6 +460,7 @@ BgpSimulator::UndoEntry* BgpSimulator::undo_entry(topo::DeviceId device) {
     index = static_cast<std::uint32_t>(undo_.size());
     UndoEntry& entry = undo_.emplace_back();
     entry.device = device;
+    entry.arena_size = ribs_[device].arena_size();
     const std::lock_guard lock(fib_locks_[device % fib_locks_.size()]);
     entry.fib = fib_cache_[device];
   }
@@ -348,6 +470,7 @@ BgpSimulator::UndoEntry* BgpSimulator::undo_entry(topo::DeviceId device) {
 void BgpSimulator::clear_undo_log() {
   for (const UndoEntry& entry : undo_) undo_index_[entry.device] = kNotLogged;
   undo_.clear();
+  undo_routes_.clear();
 }
 
 void BgpSimulator::checkpoint() {
@@ -357,6 +480,10 @@ void BgpSimulator::checkpoint() {
   trial_cold_ = false;
   checkpoint_snap_ = snap_;
   checkpoint_changed_ = changed_list_;
+  checkpoint_changes_.clear();
+  for (const DeviceId d : changed_list_) {
+    checkpoint_changes_.push_back(changes_[d]);
+  }
   checkpoint_rounds_ = rounds_;
 }
 
@@ -377,23 +504,30 @@ void BgpSimulator::rollback() {
     cold_run();
     return;
   }
+  // Each logged entry undoes one commit step, so walking the log backwards
+  // puts every prefix's checkpoint entry back last; those reference only
+  // arena words below the logged lengths.
+  for (auto it = undo_routes_.rbegin(); it != undo_routes_.rend(); ++it) {
+    const Rib::Displaced& displaced = it->displaced;
+    if (displaced.present) {
+      ribs_[it->device].splice({&displaced.record, 1}, {}, nullptr);
+    } else {
+      ribs_[it->device].splice({}, {&displaced.record.prefix, 1}, nullptr);
+    }
+  }
   for (UndoEntry& entry : undo_) {
     const DeviceId d = entry.device;
-    if (entry.has_rib) {
-      std::swap(ribs_[d], entry.rib);
-      // Keep one displaced trial Rib's capacity in rotation.
-      if (merge_scratch_.memory_bytes() == 0) {
-        merge_scratch_ = std::move(entry.rib);
-      }
-    }
+    ribs_[d].truncate_arena(entry.arena_size);
     const std::lock_guard lock(fib_locks_[d % fib_locks_.size()]);
     fib_cache_[d] = std::move(entry.fib);
   }
   clear_undo_log();
   // The trial's marks go; the ones pending at checkpoint() come back.
-  for (const DeviceId d : changed_list_) changed_mark_[d] = 0;
+  for (const DeviceId d : changed_list_) changes_[d].marked = false;
   changed_list_ = checkpoint_changed_;
-  for (const DeviceId d : changed_list_) changed_mark_[d] = 1;
+  for (std::size_t k = 0; k < changed_list_.size(); ++k) {
+    changes_[changed_list_[k]] = std::move(checkpoint_changes_[k]);
+  }
   std::swap(snap_, checkpoint_snap_);  // equal to the restored topology
   rounds_ = checkpoint_rounds_;
 }
@@ -417,14 +551,16 @@ void BgpSimulator::cold_run() {
                  /*connected=*/true, topo::kNoDatacenter);
     }
     ribs_[d.id] = std::move(rib);
-    invalidate_fib(d.id);
+    invalidate_fib(d.id).whole = true;
   }
   snapshot_state();
   std::vector<DeviceId> frontier(devices.size());
   for (std::size_t d = 0; d < devices.size(); ++d) {
     frontier[d] = static_cast<DeviceId>(d);
   }
-  rounds_ = run_worklist(std::move(frontier));
+  rounds_ = run_worklist(std::move(frontier), /*cold=*/true);
+  // Commits grew every RIB from its originations; leave none of that slack.
+  for (Rib& rib : ribs_) rib.shrink_to_fit();
   publish_metrics(rounds_, /*warm=*/false);
 }
 
@@ -444,21 +580,22 @@ int BgpSimulator::reconverge() {
     cold_run();
     return rounds_;
   }
-  for (const DeviceId d : fib_only) invalidate_fib(d);
+  for (const DeviceId d : fib_only) invalidate_fib(d).whole = true;
   snapshot_state();  // import_ok reads the refreshed fault flags
-  rounds_ = seeds.empty() ? 0 : run_worklist(std::move(seeds));
+  rounds_ =
+      seeds.empty() ? 0 : run_worklist(std::move(seeds), /*cold=*/false);
   publish_metrics(rounds_, /*warm=*/true);
   return rounds_;
 }
 
-int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
+int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier,
+                               bool cold) {
   const auto& devices = topology_->devices();
   for (const auto& worker : workers_) worker->routes_propagated = 0;
 
   int rounds = 0;
   // Convergence is bounded by the network diameter; the cap is a safety net.
   constexpr int kMaxRounds = 64;
-  std::vector<Rib> results;
   std::vector<std::uint8_t> changed;
   std::vector<std::uint8_t> queued(devices.size(), 0);
   std::vector<DeviceId> next;
@@ -472,7 +609,7 @@ int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
   while (!frontier.empty() && rounds < kMaxRounds) {
     ++rounds;
     if (frontier_hist_ != nullptr) frontier_hist_->observe(frontier.size());
-    results.assign(frontier.size(), Rib{});
+    if (deltas_.size() < frontier.size()) deltas_.resize(frontier.size());
     changed.assign(frontier.size(), 0);
     const std::vector<net::Prefix>* round_dirty = seed_round ? nullptr : &dirty;
 
@@ -481,15 +618,16 @@ int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
         split ? static_cast<unsigned>(workers_.size()) : 1u, frontier.size(),
         [&](unsigned worker, std::size_t i) {
           changed[i] = process_device(devices[frontier[i]], *workers_[worker],
-                                      results[i], round_dirty)
+                                      deltas_[i], round_dirty)
                            ? 1
                            : 0;
         });
 
-    // Commit changed results: splice partial (dirty-only) results over the
-    // previous state, record the prefixes whose export changed for the next
-    // round's dirty set, and enqueue the usable-link neighbors of each
-    // device whose exports changed as the next frontier.
+    // Commit each changed device's delta, record the prefixes whose export
+    // changed for the next round's dirty set, and enqueue the usable-link
+    // neighbors of each device whose exports changed as the next frontier.
+    // A device whose next hops alone changed keeps its neighbors' inputs:
+    // its FIB is rebuilt, but nothing propagates.
     next.clear();
     next_dirty.clear();
     bool round_changed = false;
@@ -497,80 +635,11 @@ int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
       if (!changed[i]) continue;
       round_changed = true;
       const DeviceId d = frontier[i];
-      const std::size_t dirty_before = next_dirty.size();
-      if (round_dirty == nullptr) {
-        // Full recompute: diff old vs new for the dirty set, then adopt the
-        // fresh Rib wholesale (entries + arena move together).
-        const Rib& fresh = results[i];
-        const Rib& old = ribs_[d];
-        auto oit = old.begin();
-        auto fit = fresh.begin();
-        while (oit != old.end() || fit != fresh.end()) {
-          if (fit == fresh.end() ||
-              (oit != old.end() && oit->prefix < fit->prefix)) {
-            next_dirty.push_back((oit++)->prefix);  // entry removed
-          } else if (oit == old.end() || fit->prefix < oit->prefix) {
-            next_dirty.push_back((fit++)->prefix);  // entry added
-          } else {
-            if (!exports_equal(*oit, *fit)) next_dirty.push_back(fit->prefix);
-            ++oit;
-            ++fit;
-          }
-        }
-        if (UndoEntry* undo = undo_entry(d); undo != nullptr && !undo->has_rib) {
-          undo->rib = std::move(ribs_[d]);
-          undo->has_rib = true;
-        }
-        ribs_[d] = std::move(results[i]);
-      } else {
-        // Partial recompute: the result holds entries for dirty prefixes
-        // only. Merge-walk old entries with the fresh ones into the
-        // recycled scratch Rib (entry records and hop lists land in its
-        // retained buffers — no allocation once warm); an old dirty-prefix
-        // entry with no fresh counterpart was withdrawn.
-        const Rib& fresh = results[i];
-        const Rib& old = ribs_[d];
-        merge_scratch_.clear();
-        merge_scratch_.reserve(old.size() + fresh.size(), 0);
-        auto dit = round_dirty->begin();
-        auto fit = fresh.begin();
-        for (const RibEntry& entry : old) {
-          while (fit != fresh.end() && fit->prefix < entry.prefix) {
-            next_dirty.push_back(fit->prefix);  // entry added
-            merge_scratch_.append_from(fresh, *fit);
-            ++fit;
-          }
-          while (dit != round_dirty->end() && *dit < entry.prefix) ++dit;
-          if (dit == round_dirty->end() || *dit != entry.prefix) {
-            merge_scratch_.append_from(old, entry);  // clean prefix: keep
-            continue;
-          }
-          if (fit != fresh.end() && fit->prefix == entry.prefix) {
-            if (!exports_equal(entry, *fit)) next_dirty.push_back(fit->prefix);
-            merge_scratch_.append_from(fresh, *fit);
-            ++fit;
-          } else {
-            next_dirty.push_back(entry.prefix);  // withdrawn
-          }
-        }
-        for (; fit != fresh.end(); ++fit) {
-          next_dirty.push_back(fit->prefix);
-          merge_scratch_.append_from(fresh, *fit);
-        }
-        // The displaced Rib becomes the next merge's scratch, keeping its
-        // entry and arena capacity in rotation — unless it is the
-        // checkpoint's, which the open trial's log keeps.
-        std::swap(ribs_[d], merge_scratch_);
-        if (UndoEntry* undo = undo_entry(d); undo != nullptr && !undo->has_rib) {
-          undo->rib = std::move(merge_scratch_);
-          undo->has_rib = true;
-          merge_scratch_ = Rib{};
-        }
-      }
-      // A device whose next hops alone changed keeps its neighbors' inputs:
-      // its FIB is rebuilt, but nothing propagates.
-      invalidate_fib(d);
-      if (next_dirty.size() == dirty_before) continue;
+      const bool exported = commit(d, deltas_[i], next_dirty);
+      // A cold run's deltas are whole RIBs: keeping them all until the next
+      // round would double its peak route state.
+      if (cold) deltas_[i] = Delta{};
+      if (!exported) continue;
       for (const topo::LinkId lid : topology_->links_of(d)) {
         const topo::Link& link = topology_->link(lid);
         if (!link.usable()) continue;
@@ -587,17 +656,51 @@ int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
     // change, and rounds() counts it the same way.
     if (next.empty() && round_changed && rounds < kMaxRounds) ++rounds;
     frontier = next;
-    std::sort(next_dirty.begin(), next_dirty.end());
-    next_dirty.erase(std::unique(next_dirty.begin(), next_dirty.end()),
-                     next_dirty.end());
+    sort_unique(next_dirty);
     std::swap(dirty, next_dirty);
     seed_round = false;
   }
   return rounds;
 }
 
+bool BgpSimulator::commit(DeviceId d, const Delta& delta,
+                          std::vector<net::Prefix>& exported) {
+  // Logged first: the arena length before this commit's hop lists land.
+  const UndoEntry* undo = undo_entry(d);
+  Rib& rib = ribs_[d];
+  records_.clear();
+  for (const RibEntry& entry : delta.entries) {
+    records_.push_back(rib.adopt(delta.entries, entry));
+  }
+  displaced_.clear();
+  rib.splice(records_, delta.withdrawn, &displaced_);
+  const std::size_t exported_before = exported.size();
+  Change& change = invalidate_fib(d);
+  for (std::size_t k = 0; k < displaced_.size(); ++k) {
+    const Rib::Displaced& old = displaced_[k];
+    change.prefixes.push_back(old.record.prefix);
+    // Added, withdrawn, or announced differently.
+    if (!old.present || k >= records_.size() ||
+        !exports_equal(old.record, records_[k])) {
+      exported.push_back(old.record.prefix);
+    }
+    if (undo != nullptr) undo_routes_.push_back({d, old});
+  }
+  // A caller that never drains the record (a long reconverge loop) keeps
+  // it bounded by the prefixes it names.
+  if (change.prefixes.size() > 2 * rib.size() + 64) {
+    sort_unique(change.prefixes);
+  }
+  // Outside a trial nothing references a displaced hop list any more. A
+  // looser bound (dead > live) left drift runs ~4 MB higher in peak RSS.
+  if (undo == nullptr && rib.dead_hops() * 4 > rib.live_hops()) {
+    rib.compact_arena();
+  }
+  return exported.size() != exported_before;
+}
+
 bool BgpSimulator::process_device(const topo::Device& d, WorkerState& state,
-                                  Rib& out,
+                                  Delta& out,
                                   const std::vector<net::Prefix>* dirty) const {
   PathTable& table = global_path_table();
   Rib& fresh = state.fresh;
@@ -795,39 +898,52 @@ bool BgpSimulator::process_device(const topo::Device& d, WorkerState& state,
   }
 
   // Change detection happens here in the worker (parallel) rather than in
-  // the single-threaded commit. Unchanged devices — the common case on a
-  // settling wave — leave `out` untouched and keep their scratch storage.
+  // the single-threaded commit, which receives only the entries that
+  // differ; `fresh` stays this worker's scratch.
   fresh.sort_by_prefix();
+  out.entries.clear();
+  out.withdrawn.clear();
   const Rib& old = ribs_[d.id];
-  if (dirty == nullptr) {
-    if (fresh == old) return false;
-  } else {
-    // `fresh` holds exactly the surviving dirty-prefix routes; compare
-    // against the old entries restricted to the dirty set.
-    bool device_changed = false;
-    auto dit = dirty->begin();
-    auto fit = fresh.begin();
-    for (const RibEntry& old_entry : old) {
-      if (fit != fresh.end() && fit->prefix < old_entry.prefix) {
-        device_changed = true;  // route appeared for a prefix the device lacked
-        break;
-      }
-      while (dit != dirty->end() && *dit < old_entry.prefix) ++dit;
-      if (dit == dirty->end() || *dit != old_entry.prefix) continue;
-      if (fit == fresh.end() || fit->prefix != old_entry.prefix ||
-          !Rib::entry_equal(old, old_entry, fresh, *fit)) {
-        device_changed = true;  // route withdrawn or modified
-        break;
+  auto fit = fresh.begin();
+  const auto compare = [&](const RibEntry* old_entry, const net::Prefix& p) {
+    if (fit != fresh.end() && fit->prefix == p) {
+      if (old_entry == nullptr ||
+          !Rib::entry_equal(old, *old_entry, fresh, *fit)) {
+        out.entries.append_from(fresh, *fit);  // added or modified
       }
       ++fit;
+    } else if (old_entry != nullptr) {
+      out.withdrawn.push_back(p);
     }
-    if (!device_changed && fit != fresh.end()) {
-      device_changed = true;  // trailing adds
+  };
+  if (dirty == nullptr) {
+    // Full recompute: one merge walk over both RIBs.
+    for (const RibEntry& old_entry : old) {
+      while (fit != fresh.end() && fit->prefix < old_entry.prefix) {
+        compare(nullptr, fit->prefix);
+      }
+      compare(&old_entry, old_entry.prefix);
     }
-    if (!device_changed) return false;
+    while (fit != fresh.end()) compare(nullptr, fit->prefix);
+  } else {
+    // `fresh` holds exactly the surviving dirty-prefix routes: look each
+    // dirty prefix up in the old RIB, by a forward binary search when the
+    // dirty set is narrow (warm tails), a linear walk when it is not.
+    const bool narrow = dirty->size() * 8 < old.size();
+    auto oit = old.begin();
+    for (const net::Prefix& p : *dirty) {
+      if (narrow) {
+        oit = std::lower_bound(oit, old.end(), p,
+                               [](const RibEntry& e, const net::Prefix& pp) {
+                                 return e.prefix < pp;
+                               });
+      } else {
+        while (oit != old.end() && oit->prefix < p) ++oit;
+      }
+      compare(oit != old.end() && oit->prefix == p ? &*oit : nullptr, p);
+    }
   }
-  out = std::move(fresh);
-  return true;
+  return !out.entries.empty() || !out.withdrawn.empty();
 }
 
 void BgpSimulator::publish_metrics(int rounds, bool warm) {

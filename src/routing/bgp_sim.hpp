@@ -106,6 +106,7 @@ class Rib {
   void clear() {
     entries_.clear();
     arena_.clear();
+    live_hops_ = 0;
   }
   void reserve(std::size_t entries, std::size_t arena_hops) {
     entries_.reserve(entries);
@@ -126,6 +127,48 @@ class Rib {
   /// Sorts entries into canonical ascending-prefix order. Hop references
   /// travel with their entries; the arena is not reordered.
   void sort_by_prefix();
+
+  // -- Splicing (the worklist commit and its undo log) -----------------------
+
+  /// One prefix's state before a splice(): its entry when `present`, else
+  /// only the prefix (in `record.prefix`).
+  struct Displaced {
+    RibEntry record;
+    bool present = false;
+  };
+
+  /// Copies `entry`'s hop list (owned by `source`) into this Rib — inline,
+  /// or appended to the arena — and returns the record to splice().
+  [[nodiscard]] RibEntry adopt(const Rib& source, const RibEntry& entry);
+  /// Applies a delta in place: each of `records` (ascending prefixes, hop
+  /// references valid against this Rib, say from adopt()) replaces the
+  /// entry of its prefix or is inserted in order, and the entry of each of
+  /// `removed` (ascending, none of them a record's) is dropped. When
+  /// `displaced` is set, each prefix's state before the splice is appended
+  /// to it: the records' in order, then the removals'. A replacement costs
+  /// one binary search; inserts and removals one pass over the entries.
+  /// The hop lists of displaced entries stay in the arena, dead.
+  void splice(std::span<const RibEntry> records,
+              std::span<const net::Prefix> removed,
+              std::vector<Displaced>* displaced);
+  /// Arena words, live and dead; truncate_arena() drops the words from
+  /// `size` on, which no entry may reference any more.
+  [[nodiscard]] std::size_t arena_size() const { return arena_.size(); }
+  void truncate_arena(std::size_t size) { arena_.resize(size); }
+  /// Arena words no entry references (left behind by splice()), and the
+  /// ones entries do.
+  [[nodiscard]] std::size_t dead_hops() const {
+    return arena_.size() - live_hops_;
+  }
+  [[nodiscard]] std::size_t live_hops() const { return live_hops_; }
+  /// Rewrites the arena with only the live hop lists, leaving room for a
+  /// quarter as many again.
+  void compact_arena();
+  /// compact_arena() and drops spare entry capacity.
+  void shrink_to_fit() {
+    compact_arena();
+    entries_.shrink_to_fit();
+  }
 
   /// Content equality of one entry across (possibly different) owning Ribs:
   /// prefix, AS-path (by PathId — the shared global table makes id equality
@@ -152,25 +195,6 @@ class Rib {
     return true;
   }
 
-  /// Raw storage of a Rib: the entry records plus the shared hop arena.
-  /// release()/from_sorted() move it wholesale so the worklist commit can
-  /// splice state between Ribs without reallocating either buffer.
-  struct Storage {
-    std::vector<RibEntry> entries;
-    std::vector<topo::DeviceId> arena;
-  };
-  [[nodiscard]] Storage release() && {
-    return Storage{std::move(entries_), std::move(arena_)};
-  }
-  /// Adopts storage whose entries are already in canonical prefix order
-  /// with hop references valid against the accompanying arena.
-  [[nodiscard]] static Rib from_sorted(Storage storage) {
-    Rib rib;
-    rib.entries_ = std::move(storage.entries);
-    rib.arena_ = std::move(storage.arena);
-    return rib;
-  }
-
   /// Resident bytes of this Rib's own storage (capacities, not sizes —
   /// what the allocator is actually holding).
   [[nodiscard]] std::size_t memory_bytes() const {
@@ -179,20 +203,28 @@ class Rib {
   }
 
  private:
+  /// Arena words referenced by out-of-line entries.
+  [[nodiscard]] static std::size_t arena_hops(const RibEntry& entry) {
+    return entry.hops_inline() ? 0 : entry.hop_count;
+  }
+
   std::vector<RibEntry> entries_;
   std::vector<topo::DeviceId> arena_;
+  std::size_t live_hops_ = 0;
 };
+
+/// Sets `rule` to the FIB rule of one entry of `rib`, without FIB faults,
+/// reusing the rule's next-hop storage. program_fib() builds each of its
+/// rules this way.
+void assign_rule(const Rib& rib, const RibEntry& entry, Rule& rule);
 
 /// Programs a FIB from converged RIB entries, applying the device-level
 /// FIB-programming faults of §2.6.2 (kRibFibInconsistency,
 /// kEcmpSingleNextHop). Shared by the worklist engine and the retained
-/// reference implementation. The rules are built in `scratch`, reusing the
-/// next-hop storage of the rules it holds (say, an earlier table's
-/// release()), so programming many tables in turn stops allocating per rule.
+/// reference implementation.
 [[nodiscard]] ForwardingTable program_fib(const Rib& rib,
                                           const topo::FaultInjector* faults,
-                                          topo::DeviceId device,
-                                          std::vector<Rule> scratch = {});
+                                          topo::DeviceId device);
 
 /// Tuning knobs of the worklist engine. The converged result is identical
 /// at every thread count: workers read the previous round's state and write
@@ -235,8 +267,9 @@ struct BgpSimOptions {
 /// next hops, so a device whose next hops alone changed rebuilds its FIB
 /// but wakes no neighbor. rounds() still counts as the reference does: a
 /// round that changed RIBs but no export is followed by one settle round,
-/// which the engine counts without running. Only the frontier's results are
-/// double-buffered. Frontiers are processed in parallel; candidate
+/// which the engine counts without running. Workers hand the commit only
+/// the entries that changed, which it splices into the RIBs in place.
+/// Frontiers are processed in parallel; candidate
 /// collection borrows AS-path storage from the global PathTable (immutable,
 /// append-only) and per-worker memo tables turn repeat rewrites
 /// (private-ASN stripping, own-ASN prepends, connected originations) into
@@ -269,20 +302,23 @@ class BgpSimulator {
   /// nothing changed). Not thread-safe against concurrent rib()/fib().
   int reconverge();
 
-  /// Opens a trial at the converged state: until rollback(), each device's
-  /// first displaced Rib and its FIB handle as of now are moved into an undo
-  /// log instead of being recycled, so the trial's changes can be undone at
-  /// O(changed devices) cost. The state captured is the last convergence;
-  /// a topology mutated since then is part of the trial. Opening a new
-  /// trial drops the log of an open one, keeping its changes.
+  /// Opens a trial at the converged state: until rollback(), every entry a
+  /// commit displaces goes to an undo log, and so do each changed device's
+  /// FIB handle and arena length as of its first change, so the trial can
+  /// be undone at O(changed entries) cost. Arenas only grow inside a
+  /// trial. The state captured is the last convergence; a topology mutated
+  /// since then is part of the trial. Opening a new trial drops the log of
+  /// an open one, keeping its changes.
   void checkpoint();
 
-  /// Undoes every reconverge() since checkpoint(): swaps the logged Ribs
-  /// and FIB handles back, so every rib(d) equals its checkpoint content
-  /// and every fib_handle(d) that was materialized then is the same
-  /// object again, and restores the changed-device set to what it was at
-  /// checkpoint(). The caller must first restore the topology (and fault
-  /// state) to the checkpoint; otherwise — or without an open trial —
+  /// Undoes every reconverge() since checkpoint(): puts the logged entries
+  /// back (the last displaced first), truncates each changed arena to its
+  /// logged length and restores the logged FIB handles, so every rib(d)
+  /// equals its checkpoint content and every fib_handle(d) that was
+  /// materialized then is the same object again, and restores the
+  /// changed-device record to what it was at checkpoint(). The caller
+  /// must first restore the topology (and fault state) to the checkpoint;
+  /// otherwise — or without an open trial —
   /// throws std::logic_error and changes nothing. A trial that fell back
   /// to a cold run is undone by another cold run, which marks every device
   /// changed.
@@ -317,6 +353,15 @@ class BgpSimulator {
   /// reconverge()).
   [[nodiscard]] std::vector<topo::DeviceId> take_changed_devices();
 
+  /// For a device the last take_changed_devices() returned: the prefixes
+  /// whose RIB entry changed in any field (next hops included) over the
+  /// drained changes, sorted and deduplicated — a superset of the prefixes
+  /// whose FIB rule changed. Null when the whole table may have changed (a
+  /// cold run, a FIB-programming fault flip). Valid until the next
+  /// reconverge() or rollback(); safe to read concurrently until then.
+  [[nodiscard]] const std::vector<net::Prefix>* changed_prefixes(
+      topo::DeviceId device) const;
+
   /// Resident bytes of the converged route state: every device's Rib
   /// storage plus this simulator's bookkeeping vectors (FIB caches and
   /// interned paths are accounted separately). Basis of bench_scale's
@@ -333,20 +378,34 @@ class BgpSimulator {
  private:
   struct WorkerState;
 
+  /// One device's recomputed routes that differ from its RIB: the new or
+  /// changed entries, and the prefixes it no longer has a route for.
+  struct Delta {
+    Rib entries;
+    std::vector<net::Prefix> withdrawn;
+  };
+
   void cold_run();
   /// Runs the worklist to a fixpoint from the given seed frontier;
   /// returns rounds taken and marks changed devices' FIB caches dirty.
-  int run_worklist(std::vector<topo::DeviceId> frontier);
-  /// Recomputes a device's routes. In the seed round (`dirty == nullptr`)
-  /// the whole RIB is recomputed and `out` receives it in full; in later
-  /// rounds only the globally dirty prefixes (sorted) are recomputed —
-  /// selection is per-prefix independent, so entries for clean prefixes
-  /// cannot have changed — and `out` receives just those entries, which
-  /// the commit splices over the previous state. Returns true iff the
-  /// device's RIB changed (false leaves `out` untouched).
+  /// A `cold` run frees each device's delta once committed.
+  int run_worklist(std::vector<topo::DeviceId> frontier, bool cold);
+  /// Recomputes a device's routes into `out`: only the entries that differ
+  /// from its RIB. In the seed round (`dirty == nullptr`) the whole RIB is
+  /// recomputed and compared; in later rounds only the globally dirty
+  /// prefixes (sorted) are — selection is per-prefix independent, so
+  /// entries for clean prefixes cannot have changed — each found in the
+  /// old RIB by binary search. Returns true iff the device's RIB changed.
   bool process_device(const topo::Device& device, WorkerState& state,
-                      Rib& out,
+                      Delta& out,
                       const std::vector<net::Prefix>* dirty) const;
+  /// Splices a device's delta into its RIB, logs what it displaced when a
+  /// trial is open (when not, compacts the arena once its dead words
+  /// exceed a quarter of its live ones), records the changed
+  /// prefixes and invalidates the FIB. Appends to `exported` the prefixes
+  /// whose announcement changed; returns whether any did.
+  bool commit(topo::DeviceId device, const Delta& delta,
+              std::vector<net::Prefix>& exported);
   /// Everything route-affecting, as of a convergence.
   struct Snapshot {
     std::vector<std::uint8_t> link_usable;
@@ -360,8 +419,18 @@ class BgpSimulator {
   struct UndoEntry {
     topo::DeviceId device = topo::kInvalidDevice;
     FibPtr fib;  // null when the table was not materialized
-    Rib rib;
-    bool has_rib = false;  // false while only the FIB was invalidated
+    std::size_t arena_size = 0;
+  };
+  /// One entry a trial's commit displaced.
+  struct UndoRoute {
+    topo::DeviceId device = topo::kInvalidDevice;
+    Rib::Displaced displaced;
+  };
+  /// One device's pending change: its prefixes (see changed_prefixes()).
+  struct Change {
+    bool marked = false;  // pending, not yet drained
+    bool whole = false;
+    std::vector<net::Prefix> prefixes;
   };
 
   void snapshot_state();
@@ -371,7 +440,9 @@ class BgpSimulator {
   /// (cold rerun needed).
   bool diff_state(const Snapshot& snapshot, std::vector<topo::DeviceId>& seeds,
                   std::vector<topo::DeviceId>& fib_only) const;
-  void invalidate_fib(topo::DeviceId device);
+  /// Drops the device's materialized FIB and marks it changed; returns its
+  /// change record.
+  Change& invalidate_fib(topo::DeviceId device);
   /// The open trial's log entry of `device`, created (holding the current
   /// FIB handle) on first use; null outside a trial or after it went cold.
   UndoEntry* undo_entry(topo::DeviceId device);
@@ -401,9 +472,11 @@ class BgpSimulator {
   // executor's worker index; index 0 doubles as the inline state.
   std::vector<std::unique_ptr<WorkerState>> workers_;
 
-  // Commit-side scratch Rib recycled across partial merges so steady-state
-  // commits stop allocating (single-threaded use only).
-  Rib merge_scratch_;
+  // Per-frontier-slot deltas and the commit's scratch, retained across
+  // rounds and warm runs so steady commits stop allocating.
+  std::vector<Delta> deltas_;
+  std::vector<RibEntry> records_;
+  std::vector<Rib::Displaced> displaced_;
 
   // State of the last convergence, diffed by reconverge().
   Snapshot snap_;
@@ -416,8 +489,10 @@ class BgpSimulator {
   bool trial_cold_ = false;  // the trial fell back to a cold run: no log
   std::vector<UndoEntry> undo_;
   std::vector<std::uint32_t> undo_index_;
+  std::vector<UndoRoute> undo_routes_;
   Snapshot checkpoint_snap_;
   std::vector<topo::DeviceId> checkpoint_changed_;
+  std::vector<Change> checkpoint_changes_;  // parallel to the above
   int checkpoint_rounds_ = 0;
 
   // Lazily materialized per-device FIBs, striped locks for concurrent
@@ -425,9 +500,10 @@ class BgpSimulator {
   mutable std::vector<FibPtr> fib_cache_;
   mutable std::array<std::mutex, 64> fib_locks_;
 
-  // Devices invalidated since the last take_changed_devices() drain
-  // (mark vector dedups; touched only on the mutating thread).
-  std::vector<std::uint8_t> changed_mark_;
+  // The change record: per device (indexed by id), whether it changed since
+  // the last take_changed_devices() drain and which prefixes; the list of
+  // marked devices. Touched only on the mutating thread.
+  std::vector<Change> changes_;
   std::vector<topo::DeviceId> changed_list_;
 };
 

@@ -94,6 +94,27 @@ const Rule* ForwardingTable::find(const net::Prefix& prefix) const {
   return nullptr;
 }
 
+bool ForwardingTable::exchange(Rule& rule) {
+  canonicalize(rule.next_hops);
+  const auto at =
+      std::lower_bound(rules_.begin(), rules_.end(), rule, rule_order);
+  if (at != rules_.end() && at->prefix == rule.prefix) {
+    std::swap(*at, rule);
+    return true;
+  }
+  rules_.insert(at, std::move(rule));
+  return false;
+}
+
+bool ForwardingTable::extract(const net::Prefix& prefix, Rule& out) {
+  const Rule* rule = find(prefix);
+  if (rule == nullptr) return false;
+  const auto at = rules_.begin() + (rule - rules_.data());
+  out = std::move(*at);
+  rules_.erase(at);
+  return true;
+}
+
 void diff_rules(const ForwardingTable& before, const ForwardingTable& after,
                 std::vector<net::Prefix>& changed) {
   auto b = before.rules().begin();

@@ -52,6 +52,16 @@ class ForwardingTable {
   /// entry per prefix).
   void add(Rule rule);
 
+  /// Swaps `rule` into the table: it replaces the rule for its prefix,
+  /// which `rule` then holds, and true is returned; with no such rule it is
+  /// inserted in order, `rule` is left moved-from and false is returned.
+  /// Next hops are canonicalized. Swapping the displaced rule back undoes
+  /// a replacement, extract() an insertion.
+  bool exchange(Rule& rule);
+  /// Moves the rule for exactly this prefix into `out` and removes it from
+  /// the table; returns false, leaving `out` as it was, when there is none.
+  bool extract(const net::Prefix& prefix, Rule& out);
+
   /// Longest-prefix-match lookup (Definition 2.1). Returns nullptr when no
   /// rule matches — i.e. the packet is dropped. Note a default route, when
   /// present, matches everything.
@@ -73,10 +83,6 @@ class ForwardingTable {
 
   friend bool operator==(const ForwardingTable&,
                          const ForwardingTable&) = default;
-
-  /// Moves the rules out, each keeping its next-hop storage, so a caller
-  /// that builds many tables in turn can hand them to the next build.
-  [[nodiscard]] std::vector<Rule> release() && { return std::move(rules_); }
 
  private:
   std::vector<Rule> rules_;

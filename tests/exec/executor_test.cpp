@@ -1,6 +1,7 @@
 #include "exec/executor.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <barrier>
@@ -151,6 +152,25 @@ TEST(Executor, DefaultThreadsResolvesZeroToAHardwareAwareDefault) {
   // An explicit count is taken at face value.
   EXPECT_EQ(default_threads(3), 3u);
   EXPECT_EQ(default_threads(64), 64u);
+}
+
+// A thread pinned to one CPU resolves 0 to one worker, whatever the host's
+// core count.
+TEST(Executor, DefaultThreadsFollowsTheCpuAffinity) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &original)) ++cpu;
+  cpu_set_t pinned;
+  CPU_ZERO(&pinned);
+  CPU_SET(cpu, &pinned);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(pinned), &pinned), 0);
+  const unsigned resolved = default_threads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(resolved, 1u);
+  EXPECT_EQ(default_threads(),
+            std::min(16u, static_cast<unsigned>(CPU_COUNT(&original))));
 }
 
 }  // namespace

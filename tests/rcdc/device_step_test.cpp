@@ -1,7 +1,9 @@
 // DeviceStep::recheck, the delta path of the per-device step: on seeded
 // random rule mutations of real device tables, rechecking only the
 // contracts a changed rule touches must give exactly the verifier's full
-// output for the new table — on the trie engine and on the linear one.
+// output for the new table — on the trie engine and on the linear one, and
+// whether the changed prefixes are given exactly (diff_rules) or as a
+// superset with unchanged ones mixed in.
 #include "rcdc/device_step.hpp"
 
 #include <gtest/gtest.h>
@@ -180,8 +182,13 @@ struct Fabric {
   routing::BgpSimulator simulator;
 };
 
+/// The changed prefixes recheck() is given: exactly diff_rules(), or that
+/// plus unchanged prefixes of `after` (never the default route, which would
+/// force a full check), shuffled.
+enum class Delta { kExact, kSuperset };
+
 void expect_delta_equals_full(const VerifierFactory& factory,
-                              std::uint64_t seed) {
+                              std::uint64_t seed, Delta given) {
   const Fabric fabric;
   StepTally tally;
   const StepMetrics metrics(nullptr);
@@ -191,6 +198,7 @@ void expect_delta_equals_full(const VerifierFactory& factory,
 
   std::size_t partial = 0;       // rechecks that kept some old verdicts
   std::size_t kept_violations = 0;
+  std::size_t supersets = 0;     // trials given unchanged prefixes too
   for (int trial = 0; trial < 700; ++trial) {
     const auto device = static_cast<topo::DeviceId>(
         mutator.rng()() % fabric.topology.device_count());
@@ -208,17 +216,32 @@ void expect_delta_equals_full(const VerifierFactory& factory,
     ForwardingTable after = before;
     mutator.apply(mutation, after, contracts);
 
+    std::vector<net::Prefix> changed;
+    routing::diff_rules(before, after, changed);
+    const std::size_t exact = changed.size();
+    if (given == Delta::kSuperset && !after.empty()) {
+      for (std::uint64_t n = 1 + mutator.rng()() % 3; n > 0; --n) {
+        const Rule& rule = after.rules()[mutator.rng()() % after.size()];
+        const Rule* old = before.find(rule.prefix);
+        if (!rule.prefix.is_default() && old != nullptr && *old == rule) {
+          changed.push_back(rule.prefix);
+        }
+      }
+      std::shuffle(changed.begin(), changed.end(), mutator.rng());
+    }
+
     const std::size_t checked_before = tally.contracts_checked.load();
     const std::vector<Violation> delta = step.recheck(
-        device, contracts, before, before_violations, after, false);
+        device, contracts, before_violations, after, changed, false);
     const std::size_t checked =
         tally.contracts_checked.load() - checked_before;
     ASSERT_EQ(delta, oracle->check(after, contracts, device))
         << "trial " << trial << ", mutation " << static_cast<int>(mutation)
         << ", device " << device;
-    if (after == before) {
+    if (after == before && changed.size() == exact) {
       EXPECT_EQ(checked, 0u) << "trial " << trial;
     }
+    supersets += changed.size() > exact ? 1 : 0;
     if (checked < contracts.size()) {
       ++partial;
       kept_violations += before_violations.size();
@@ -227,14 +250,27 @@ void expect_delta_equals_full(const VerifierFactory& factory,
   // The draw must exercise the merge, including kept violations.
   EXPECT_GT(partial, 100u);
   EXPECT_GT(kept_violations, 0u);
+  if (given == Delta::kSuperset) EXPECT_GT(supersets, 300u);
 }
 
 TEST(DeviceStepRecheck, DeltaEqualsFullOnTheTrieEngine) {
-  expect_delta_equals_full(make_trie_verifier_factory(), 0xD17A);
+  expect_delta_equals_full(make_trie_verifier_factory(), 0xD17A,
+                           Delta::kExact);
 }
 
 TEST(DeviceStepRecheck, DeltaEqualsFullOnTheLinearEngine) {
-  expect_delta_equals_full(make_linear_verifier_factory(), 0x11EA);
+  expect_delta_equals_full(make_linear_verifier_factory(), 0x11EA,
+                           Delta::kExact);
+}
+
+TEST(DeviceStepRecheck, SupersetDeltaEqualsFullOnTheTrieEngine) {
+  expect_delta_equals_full(make_trie_verifier_factory(), 0x5E7A,
+                           Delta::kSuperset);
+}
+
+TEST(DeviceStepRecheck, SupersetDeltaEqualsFullOnTheLinearEngine) {
+  expect_delta_equals_full(make_linear_verifier_factory(), 0x5E7B,
+                           Delta::kSuperset);
 }
 
 // An earlier verdict whose violations are not in the verifier's order
@@ -259,8 +295,10 @@ TEST(DeviceStepRecheck, UnorderedEarlierVerdictIsCheckedInFull) {
   ForwardingTable after = before;
   after.add(Rule{.prefix = contracts.back().prefix, .next_hops = {}});
 
+  std::vector<net::Prefix> changed;
+  routing::diff_rules(before, after, changed);
   const std::vector<Violation> delta =
-      step.recheck(tor, contracts, before, reversed, after, false);
+      step.recheck(tor, contracts, reversed, after, changed, false);
   EXPECT_EQ(delta, oracle->check(after, contracts, tor));
   EXPECT_EQ(tally.contracts_checked.load(), contracts.size());
 }

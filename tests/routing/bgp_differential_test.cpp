@@ -4,8 +4,9 @@
 // reconvergence must produce byte-equal RIBs and FIBs to a cold reference
 // run on the mutated topology — at thread count 1 and at thread count N.
 //
-// The BgpParallel and BgpCheckpoint suites at the bottom are additionally
-// run under ThreadSanitizer in CI; keep their tests self-contained.
+// The BgpParallel, BgpCheckpoint, BgpOracle and BgpDrift suites at the
+// bottom are additionally run under ThreadSanitizer in CI; keep their tests
+// self-contained.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -293,9 +294,6 @@ TEST(ProgramFib, OnePassEqualsRuleByRuleAdd) {
   std::uniform_int_distribution<int> hop(0, 30);
   std::uniform_int_distribution<int> hop_count(0, 5);
   const PathId path = global_path_table().intern(std::vector<topo::Asn>{65001});
-  // Rules released by one trial's table seed the next build, whose RIB may
-  // be larger or smaller.
-  std::vector<Rule> scratch;
   for (int trial = 0; trial < 100; ++trial) {
     // Distinct random prefixes of every length, /0 included in most RIBs;
     // hop lists long enough to spill into the arena.
@@ -322,11 +320,6 @@ TEST(ProgramFib, OnePassEqualsRuleByRuleAdd) {
     EXPECT_EQ(program_fib(rib, nullptr, clean),
               program_fib_by_add(rib, false, false))
         << "trial " << trial;
-    ForwardingTable reused = program_fib(rib, nullptr, clean,
-                                         std::move(scratch));
-    EXPECT_EQ(reused, program_fib_by_add(rib, false, false))
-        << "trial " << trial;
-    scratch = std::move(reused).release();
     EXPECT_EQ(program_fib(rib, &injector, clean),
               program_fib_by_add(rib, false, false))
         << "trial " << trial;
@@ -549,6 +542,26 @@ bool same_exports(const Rib& a, const Rib& b) {
   });
 }
 
+/// The prefixes whose entry differs between two RIBs of one device, in any
+/// field, presence included; sorted.
+std::vector<net::Prefix> entry_diff(const Rib& a, const Rib& b) {
+  std::vector<net::Prefix> diff;
+  auto x = a.begin();
+  auto y = b.begin();
+  while (x != a.end() || y != b.end()) {
+    if (y == b.end() || (x != a.end() && x->prefix < y->prefix)) {
+      diff.push_back((x++)->prefix);
+    } else if (x == a.end() || y->prefix < x->prefix) {
+      diff.push_back((y++)->prefix);
+    } else {
+      if (!Rib::entry_equal(a, *x, b, *y)) diff.push_back(x->prefix);
+      ++x;
+      ++y;
+    }
+  }
+  return diff;
+}
+
 TEST(BgpOracle, EveryLinkTrialMatchesColdReferenceAndRollsBack) {
   for (const unsigned threads : {1u, 4u}) {
     SCOPED_TRACE(testing::Message() << threads << " threads");
@@ -597,7 +610,15 @@ TEST(BgpOracle, EveryLinkTrialMatchesColdReferenceAndRollsBack) {
           }
           exports_changed |= !same_exports(rib, base_ribs[device.id]);
         }
-        EXPECT_EQ(sim.take_changed_devices(), differ);
+        const std::vector<DeviceId> changed = sim.take_changed_devices();
+        EXPECT_EQ(changed, differ);
+        // Each changed device lists exactly the prefixes whose entry moved.
+        for (const DeviceId d : changed) {
+          const std::vector<net::Prefix>* prefixes = sim.changed_prefixes(d);
+          ASSERT_NE(prefixes, nullptr) << base.device(d).name;
+          EXPECT_EQ(*prefixes, entry_diff(base_ribs[d], sim.rib(d)))
+              << base.device(d).name;
+        }
         if (!differ.empty() && !exports_changed) {
           // Only next hops moved: the synchronous reference changes them in
           // one round and settles in the next.
@@ -615,6 +636,59 @@ TEST(BgpOracle, EveryLinkTrialMatchesColdReferenceAndRollsBack) {
       }
     }
     EXPECT_GT(next_hop_only_trials, 0);
+  }
+}
+
+// Inside a trial the arenas only grow: an entry that gets a longer hop
+// list appends it, and rollback() truncates each arena back to its length
+// at the checkpoint.
+TEST(BgpCheckpoint, ArenaGrownInATrialIsTruncatedByRollback) {
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    Topology base = checkpoint_fabric();
+    // With one of its three leaf links down, the ToR's routes fit inline;
+    // bringing the link up moves them to the arena.
+    const topo::LinkId link = link_between(
+        base, base.tors_in_cluster(0)[0], base.leaves_in_cluster(0)[0]);
+    base.set_link_state(link, topo::LinkState::kDown);
+    Topology topology = base;
+    BgpSimulator sim(topology, nullptr, nullptr,
+                     BgpSimOptions{.threads = threads,
+                                   .parallel_threshold = 1});
+    std::vector<Rib> ribs;
+    std::vector<std::size_t> arena;
+    std::vector<std::size_t> dead;
+    for (const topo::Device& device : base.devices()) {
+      ribs.push_back(sim.rib(device.id));
+      arena.push_back(sim.rib(device.id).arena_size());
+      dead.push_back(sim.rib(device.id).dead_hops());
+    }
+
+    sim.checkpoint();
+    topology.set_link_state(link, topo::LinkState::kUp);
+    ASSERT_GT(sim.reconverge(), 0);
+    std::size_t grown = 0;
+    for (const topo::Device& device : base.devices()) {
+      ASSERT_GE(sim.rib(device.id).arena_size(), arena[device.id]);
+      grown += sim.rib(device.id).arena_size() > arena[device.id] ? 1 : 0;
+    }
+    EXPECT_GT(grown, 0u);
+    const ReferenceBgpSimulator trial(topology);
+    for (const topo::Device& device : base.devices()) {
+      ASSERT_EQ(sim.rib(device.id), trial.rib(device.id)) << device.name;
+    }
+
+    topology = base;
+    sim.rollback();
+    const ReferenceBgpSimulator cold(base);
+    for (const topo::Device& device : base.devices()) {
+      ASSERT_EQ(sim.rib(device.id), cold.rib(device.id)) << device.name;
+      ASSERT_EQ(sim.rib(device.id), ribs[device.id]) << device.name;
+      EXPECT_EQ(sim.rib(device.id).arena_size(), arena[device.id])
+          << device.name;
+      EXPECT_EQ(sim.rib(device.id).dead_hops(), dead[device.id])
+          << device.name;
+    }
   }
 }
 
@@ -661,6 +735,43 @@ TEST(BgpCheckpoint, ColdTrialIsUndoneByAColdRun) {
     ASSERT_EQ(sim.fib(device.id), cold.fib(device.id)) << device.name;
   }
   EXPECT_EQ(sim.reconverge(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// BgpDrift.* — a long fault/repair run with no trial: the commit splices
+// each change into the RIBs and compacts an arena once its dead hop lists
+// exceed a quarter of the live ones, so the route state stays bounded
+// while every state still equals a cold reference run.
+
+TEST(BgpDrift, FaultRepairRunKeepsRouteStateBounded) {
+  Topology topology = checkpoint_fabric();
+  FaultInjector injector(topology, /*seed=*/25);
+  BgpSimulator sim(topology, &injector, nullptr,
+                   BgpSimOptions{.threads = 4, .parallel_threshold = 1});
+  const std::size_t cold_bytes = sim.route_state_bytes();
+  std::mt19937_64 rng(25);
+  for (int step = 0; step < 2000; ++step) {
+    if (injector.records().size() < 3 && rng() % 2 == 0) {
+      if (rng() % 2 == 0) {
+        injector.random_link_failures(1);
+      } else {
+        injector.random_bgp_shutdowns(1);
+      }
+    } else if (!injector.records().empty()) {
+      injector.repair(rng() % injector.records().size());
+    }
+    sim.reconverge();
+    ASSERT_LE(sim.route_state_bytes(), 2 * cold_bytes) << "step " << step;
+    if (step % 100 == 99) {
+      const ReferenceBgpSimulator ref(topology, &injector);
+      expect_equal(sim, ref, topology, "drift");
+    }
+  }
+  for (const topo::Device& device : topology.devices()) {
+    EXPECT_LE(sim.rib(device.id).dead_hops() * 4,
+              sim.rib(device.id).live_hops())
+        << device.name;
+  }
 }
 
 }  // namespace

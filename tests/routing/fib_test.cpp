@@ -58,6 +58,37 @@ TEST(ForwardingTable, DuplicatePrefixReplaces) {
             std::vector<topo::DeviceId>{2});
 }
 
+// exchange() and extract() patch a table in place and undo it: the
+// precheck session's patch of a baseline table and its restore.
+TEST(ForwardingTable, ExchangeAndExtractPatchAndRestore) {
+  ForwardingTable fib;
+  fib.add(rule("0.0.0.0/0", {1}));
+  fib.add(rule("10.0.0.0/24", {2}));
+  fib.add(rule("10.0.1.0/24", {3}));
+  const ForwardingTable original = fib;
+
+  Rule replaced = rule("10.0.0.0/24", {5, 4});
+  EXPECT_TRUE(fib.exchange(replaced));
+  EXPECT_EQ(replaced, rule("10.0.0.0/24", {2}));  // the displaced rule
+  Rule inserted = rule("10.0.2.0/25", {6});
+  EXPECT_FALSE(fib.exchange(inserted));
+  Rule removed;
+  EXPECT_TRUE(fib.extract(net::Prefix::parse("10.0.1.0/24"), removed));
+  EXPECT_EQ(removed, rule("10.0.1.0/24", {3}));
+  EXPECT_FALSE(fib.extract(net::Prefix::parse("10.9.0.0/16"), removed));
+
+  ForwardingTable expected;
+  expected.add(rule("0.0.0.0/0", {1}));
+  expected.add(rule("10.0.0.0/24", {4, 5}));
+  expected.add(rule("10.0.2.0/25", {6}));
+  EXPECT_EQ(fib, expected);
+
+  EXPECT_TRUE(fib.exchange(replaced));
+  EXPECT_TRUE(fib.extract(net::Prefix::parse("10.0.2.0/25"), inserted));
+  EXPECT_FALSE(fib.exchange(removed));
+  EXPECT_EQ(fib, original);
+}
+
 TEST(ForwardingTable, DefaultRouteAccessor) {
   ForwardingTable fib;
   EXPECT_EQ(fib.default_route(), nullptr);

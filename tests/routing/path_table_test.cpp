@@ -142,29 +142,78 @@ TEST(RibArena, ClearRetainsCapacityAndRebuildsInPlace) {
   }
 }
 
-// release()/from_sorted() move storage wholesale: no copies, entries and
-// arena survive the round trip bit-identically.
-TEST(RibArena, ReleaseFromSortedRoundTripsWithoutReallocating) {
+// splice() replaces, inserts and removes entries in place, reports what it
+// displaced, and leaves replaced out-of-line hop lists behind as dead arena
+// words until compact_arena(); putting the displaced records back and
+// truncating the arena restores the original exactly.
+TEST(RibArena, SpliceAndItsUndoRestoreTheOriginal) {
   PathTable& table = global_path_table();
-  const PathId id = table.intern(std::vector<Asn>{65009});
-  const std::vector<topo::DeviceId> hops{9, 8, 7, 6};
-
+  const PathId id = table.intern(std::vector<Asn>{65010});
+  const std::vector<topo::DeviceId> wide{1, 2, 3, 4};
+  const std::vector<topo::DeviceId> narrow{5};
+  const auto prefix = [](int i) {
+    return net::Prefix::parse("10." + std::to_string(i) + ".0.0/24");
+  };
   Rib rib;
-  rib.append(net::Prefix::parse("10.1.0.0/24"), id, hops, false, 1);
-  rib.append(net::Prefix::parse("10.2.0.0/24"), id,
-             std::vector<topo::DeviceId>{3}, false, 1);
-  rib.sort_by_prefix();
-  const topo::DeviceId* arena_data =
-      rib.next_hops(rib.at(net::Prefix::parse("10.1.0.0/24"))).data();
+  for (const int i : {1, 3, 5, 7}) {
+    rib.append(prefix(i), id, i == 3 ? narrow : wide, false, 0);
+  }
+  const Rib original = rib;
+  const std::size_t arena = rib.arena_size();
+  ASSERT_EQ(rib.live_hops(), 12u);
 
-  Rib moved = Rib::from_sorted(std::move(rib).release());
-  EXPECT_EQ(moved.size(), 2u);
-  const auto& entry = moved.at(net::Prefix::parse("10.1.0.0/24"));
-  const auto moved_hops = moved.next_hops(entry);
-  EXPECT_EQ(moved_hops.data(), arena_data);
-  EXPECT_TRUE(
-      std::equal(moved_hops.begin(), moved_hops.end(), hops.begin(),
-                 hops.end()));
+  // Replace 10.1 (wide -> narrow), insert 10.2 and 10.9 (wide), drop 10.5.
+  Rib source;
+  source.append(prefix(1), id, narrow, false, 0);
+  source.append(prefix(2), id, wide, false, 0);
+  source.append(prefix(9), id, wide, false, 0);
+  std::vector<RibEntry> records;
+  for (const RibEntry& entry : source) {
+    records.push_back(rib.adopt(source, entry));
+  }
+  const std::vector<net::Prefix> removed{prefix(5)};
+  std::vector<Rib::Displaced> displaced;
+  rib.splice(records, removed, &displaced);
+
+  std::vector<net::Prefix> order;
+  for (const RibEntry& entry : rib) order.push_back(entry.prefix);
+  EXPECT_EQ(order, (std::vector<net::Prefix>{prefix(1), prefix(2), prefix(3),
+                                             prefix(7), prefix(9)}));
+  const auto hops = [&rib](int i, const auto& prefix_of) {
+    const auto span = rib.next_hops(rib.at(prefix_of(i)));
+    return std::vector<topo::DeviceId>(span.begin(), span.end());
+  };
+  EXPECT_EQ(hops(1, prefix), narrow);
+  EXPECT_EQ(hops(2, prefix), wide);
+  EXPECT_EQ(hops(9, prefix), wide);
+  EXPECT_EQ(hops(7, prefix), wide);
+  // 10.1's and 10.5's wide lists are dead; 10.2's and 10.9's are live.
+  EXPECT_EQ(rib.live_hops(), 12u);
+  EXPECT_EQ(rib.dead_hops(), 8u);
+  ASSERT_EQ(displaced.size(), 4u);
+  EXPECT_TRUE(displaced[0].present);   // 10.1, replaced
+  EXPECT_FALSE(displaced[1].present);  // 10.2, inserted
+  EXPECT_FALSE(displaced[2].present);  // 10.9, inserted
+  EXPECT_TRUE(displaced[3].present);   // 10.5, removed
+  EXPECT_EQ(displaced[3].record.prefix, prefix(5));
+
+  Rib compacted = rib;
+  compacted.compact_arena();
+  EXPECT_EQ(compacted, rib);
+  EXPECT_EQ(compacted.dead_hops(), 0u);
+  EXPECT_EQ(compacted.arena_size(), 12u);
+
+  for (auto it = displaced.rbegin(); it != displaced.rend(); ++it) {
+    if (it->present) {
+      rib.splice({&it->record, 1}, {}, nullptr);
+    } else {
+      rib.splice({}, {&it->record.prefix, 1}, nullptr);
+    }
+  }
+  rib.truncate_arena(arena);
+  EXPECT_EQ(rib, original);
+  EXPECT_EQ(rib.live_hops(), 12u);
+  EXPECT_EQ(rib.dead_hops(), 0u);
 }
 
 }  // namespace
