@@ -1,9 +1,10 @@
 // Preventing dangerous changes (§2.7, Figure 7): proposed network changes
-// are applied to an emulated clone of production, routing re-runs, and the
-// same RCDC contracts used for live monitoring gate the rollout. The
-// rollout below reproduces the §2.6.2 "Migrations" root cause — a leaf-ASN
-// collision between decommissioned and new infrastructure — which the
-// pre-check rejects before it reaches production.
+// are applied to an emulated clone of production (one PrecheckSession),
+// routing reconverges, and the same RCDC contracts used for live
+// monitoring gate the rollout. The rollout below reproduces the §2.6.2
+// "Migrations" root cause — a leaf-ASN collision between decommissioned
+// and new infrastructure — which the pre-check rejects before it reaches
+// production.
 #include <iostream>
 
 #include "rcdc/precheck.hpp"
@@ -23,7 +24,7 @@ int main() {
             << " devices; every change is emulated and validated against "
                "the same contracts as live monitoring\n\n";
 
-  const rcdc::PrecheckPipeline pipeline(production);
+  rcdc::PrecheckSession session(production);
 
   std::vector<rcdc::NetworkChange> rollout;
   // Step 1: benign — renumber a ToR within its cluster's unique range.
@@ -46,7 +47,7 @@ int main() {
       "renumber T0-1-0 to ASN 64991",
       *production.find_device("T0-1-0"), 64991));
 
-  const auto results = pipeline.check_rollout(rollout);
+  const auto results = session.check_rollout(rollout);
   for (const rcdc::PrecheckResult& result : results) {
     std::cout << (result.approved ? "APPROVED " : "REJECTED ")
               << result.description << "\n"

@@ -159,7 +159,6 @@ def phase_metrics(port, metrics_out, expect_429):
     for series in ("dcv_http_requests_total", "dcv_http_request_ns",
                    "dcv_http_open_connections", "dcv_http_queued_requests",
                    "dcv_gate_prechecks_total", "dcv_gate_nsg_checks_total",
-                   "dcv_gate_precheck_batches_total",
                    'dcv_precheck_phase_ns_count{phase="reconverge"}',
                    'dcv_precheck_phase_ns_count{phase="rollback"}',
                    "dcv_precheck_contracts_rechecked_total"):

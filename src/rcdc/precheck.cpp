@@ -39,61 +39,7 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
       (std::chrono::steady_clock::now() - start).count());
 }
 
-std::vector<Violation> validate_emulated(const routing::BgpSimulator& simulator,
-                                         const topo::MetadataService& intent,
-                                         ContractGenOptions options,
-                                         unsigned threads) {
-  const SimulatorFibSource fibs(simulator);
-  const DatacenterValidator validator(intent, fibs,
-                                      make_trie_verifier_factory(), options);
-  return validator.run(threads).violations;
-}
-
 }  // namespace
-
-PrecheckResult PrecheckPipeline::check(const NetworkChange& change) const {
-  PrecheckResult result;
-  result.description = change.description;
-  const unsigned threads = exec::default_threads(threads_);
-
-  // Intent derives from the production architecture; the emulator clone
-  // carries the production state including any current drift.
-  const topo::MetadataService intent(*production_);
-
-  topo::Topology emulated = *production_;  // "same topology as production"
-  // One simulator across the before/after comparison: applying the change
-  // and warm-starting reconvergence from the touched devices is the
-  // emulation analogue of pushing a change into a converged network.
-  routing::BgpSimulator simulator(emulated, nullptr, nullptr,
-                                  {.threads = threads});
-  const auto baseline = validate_emulated(simulator, intent, options_, threads);
-  result.baseline_violations = baseline.size();
-
-  change.apply(emulated);
-  simulator.reconverge();
-  auto post = validate_emulated(simulator, intent, options_, threads);
-  result.post_change_violations = post.size();
-
-  // The change is charged only with violations absent from the baseline.
-  for (Violation& violation : post) {
-    if (std::find(baseline.begin(), baseline.end(), violation) ==
-        baseline.end()) {
-      result.introduced.push_back(std::move(violation));
-    }
-  }
-  result.approved = result.introduced.empty();
-  return result;
-}
-
-std::vector<PrecheckResult> PrecheckPipeline::check_rollout(
-    const std::vector<NetworkChange>& changes) const {
-  std::vector<PrecheckResult> results;
-  for (const NetworkChange& change : changes) {
-    results.push_back(check(change));
-    if (!results.back().approved) break;
-  }
-  return results;
-}
 
 PrecheckSession::PrecheckSession(const topo::Topology& production,
                                  ContractGenOptions options, unsigned threads,
@@ -200,12 +146,12 @@ DeviceStep& PrecheckSession::step(unsigned worker) {
   return *slot;
 }
 
-std::vector<PrecheckResult> PrecheckSession::check_batch(
+std::vector<PrecheckResult> PrecheckSession::check_rollout(
     const std::vector<NetworkChange>& changes) {
   std::vector<PrecheckResult> results;
-  results.reserve(changes.size());
   for (const NetworkChange& change : changes) {
     results.push_back(check(change));
+    if (!results.back().approved) break;
   }
   return results;
 }
@@ -227,8 +173,7 @@ PrecheckResult PrecheckSession::check(const NetworkChange& change) {
   if (result.error.empty() &&
       (emulated_.device_count() != base_.device_count() ||
        emulated_.link_count() != base_.link_count())) {
-    // Fabric-shape changes invalidate the per-device baseline mapping;
-    // they belong in the cold PrecheckPipeline, not the warm session.
+    // Fabric-shape changes invalidate the per-device baseline mapping.
     result.error = "shape-changing change not supported by the warm session";
   }
   if (!result.error.empty()) {
@@ -306,8 +251,8 @@ PrecheckResult PrecheckSession::check(const NetworkChange& change) {
     const std::vector<Violation>& base = baseline_[changed[i]].violations;
     result.post_change_violations += post[i].size();
     result.post_change_violations -= base.size();
-    // Reported in DatacenterValidator::run()'s order, as PrecheckPipeline
-    // reports them.
+    // Reported in DatacenterValidator::run()'s order: `changed` is sorted
+    // by device, and each device's violations by report_order.
     std::sort(post[i].begin(), post[i].end(), report_order);
     for (Violation& violation : post[i]) {
       if (std::find(base.begin(), base.end(), violation) == base.end()) {

@@ -11,7 +11,6 @@
 #include "rcdc/contract.hpp"
 #include "rcdc/contract_gen.hpp"
 #include "rcdc/device_step.hpp"
-#include "rcdc/fib_source.hpp"
 #include "rcdc/validator.hpp"
 #include "routing/bgp_sim.hpp"
 #include "topology/metadata.hpp"
@@ -60,38 +59,11 @@ struct PrecheckResult {
 /// network."
 ///
 /// Here the emulator is the EBGP route-propagation simulator running on a
-/// cloned topology: the change is applied to the clone, routing re-runs,
-/// and the standard RCDC contract validation (same contracts, same
-/// verifiers as live monitoring) decides whether the change may roll out.
-/// A change is approved iff it introduces no violation beyond the
+/// clone of production: a change is applied to the clone, routing
+/// reconverges, and the standard RCDC contract validation (same contracts,
+/// same verifiers as live monitoring) decides whether the change may roll
+/// out. A change is approved iff it introduces no violation beyond the
 /// emulated baseline.
-class PrecheckPipeline {
- public:
-  /// `production` is cloned per check; contracts always derive from the
-  /// *expected* architecture, i.e. the unmodified metadata. `threads`
-  /// bounds the emulator's and the validation's parallelism; 0 picks
-  /// exec::default_threads().
-  explicit PrecheckPipeline(const topo::Topology& production,
-                            ContractGenOptions options = {},
-                            unsigned threads = 0)
-      : production_(&production), options_(options), threads_(threads) {}
-
-  [[nodiscard]] PrecheckResult check(const NetworkChange& change) const;
-
-  /// Checks each change of a sequence independently against production
-  /// (a step does not see the steps before it applied), stopping at the
-  /// first rejection.
-  [[nodiscard]] std::vector<PrecheckResult> check_rollout(
-      const std::vector<NetworkChange>& changes) const;
-
- private:
-  const topo::Topology* production_;
-  ContractGenOptions options_;
-  unsigned threads_ = 0;
-};
-
-/// The serving-layer counterpart of PrecheckPipeline: one persistent warm
-/// emulator instead of a clone-and-cold-converge per request.
 ///
 /// Construction pays the full cost once — clone the production topology,
 /// cold-converge the simulator, validate the baseline and keep every
@@ -111,19 +83,21 @@ class PrecheckPipeline {
 /// rule touches, keeping the baseline verdict of the rest. The rollback
 /// puts the entries the trial displaced back from the simulator's undo
 /// log (BgpSimulator::checkpoint/rollback) at O(changed entries) cost
-/// instead of reconverging a second time. Checks are independent (no
-/// rollout semantics); a batch of K changes costs K reconvergences plus K
-/// rollbacks.
+/// instead of reconverging a second time.
 ///
-/// Not thread-safe: one session serves one gate thread (or is externally
-/// serialized — the change-gate batcher does exactly that).
+/// Changes must keep the fabric's shape (device and link counts); a change
+/// that adds or removes either is refused with an error.
+///
+/// Not thread-safe: one session serves one thread at a time (the change
+/// gate serializes its requests on a mutex).
 class PrecheckSession {
  public:
-  /// `threads` bounds the emulator's and the validation's parallelism, as
-  /// in PrecheckPipeline. `metrics`, when set (it must outlive the
-  /// session), receives dcv_precheck_phase_ns{phase="reconverge"|"diff"|
-  /// "verify"|"rollback"} per change and
-  /// dcv_precheck_contracts_rechecked_total.
+  /// Contracts always derive from the *expected* architecture, i.e. the
+  /// unmodified metadata of `production`. `threads` bounds the emulator's
+  /// and the validation's parallelism; 0 picks exec::default_threads().
+  /// `metrics`, when set (it must outlive the session), receives
+  /// dcv_precheck_phase_ns{phase="reconverge"|"diff"|"verify"|"rollback"}
+  /// per change and dcv_precheck_contracts_rechecked_total.
   explicit PrecheckSession(const topo::Topology& production,
                            ContractGenOptions options = {},
                            unsigned threads = 0,
@@ -135,8 +109,13 @@ class PrecheckSession {
   /// Prechecks one change against the baseline and leaves the session at
   /// the baseline again.
   [[nodiscard]] PrecheckResult check(const NetworkChange& change);
-  /// check() of each change in turn.
-  [[nodiscard]] std::vector<PrecheckResult> check_batch(
+  /// Prechecks the steps of a rollout in order and stops at the first step
+  /// that is not approved; the results end with that step. Each step is
+  /// checked alone against the baseline, not with the steps before it
+  /// applied, so a step that depends on an earlier one (say, shutting the
+  /// second of two redundant links) is judged as if the earlier one had
+  /// not happened.
+  [[nodiscard]] std::vector<PrecheckResult> check_rollout(
       const std::vector<NetworkChange>& changes);
 
   /// Epoch of the production topology this session was built from; the

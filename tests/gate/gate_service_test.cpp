@@ -1,6 +1,6 @@
 // Change-gate service: precheck and NSG-check verdicts over the HTTP
-// handler surface, request coalescing into shared emulator batches, the
-// stale-epoch guard, and the differential guarantee that concurrent
+// handler surface, concurrent prechecks serialized on the one warm session,
+// the stale-epoch guard, and the differential guarantee that concurrent
 // serving returns byte-identical answers to serialized evaluation.
 #include "gate/gate_service.hpp"
 
@@ -40,17 +40,11 @@ class GateServiceTest : public testing::Test {
  protected:
   GateServiceTest() : topology_(topo::build_figure3()) {}
 
-  GateConfig quick_config() const {
-    GateConfig config;
-    config.batch_window = std::chrono::milliseconds(0);
-    return config;
-  }
-
   topo::Topology topology_;
 };
 
 TEST_F(GateServiceTest, PrecheckVerdictsMatchTheChange) {
-  GateService service(topology_, quick_config());
+  GateService service(topology_);
 
   const auto approved = service.handle_precheck(post("/precheck", kGoodPlan));
   EXPECT_EQ(approved.status, 200);
@@ -66,19 +60,19 @@ TEST_F(GateServiceTest, PrecheckVerdictsMatchTheChange) {
 }
 
 TEST_F(GateServiceTest, BadPlansAnswer400WithoutTouchingTheEmulator) {
-  GateService service(topology_, quick_config());
+  GateService service(topology_);
   EXPECT_EQ(service.handle_precheck(post("/precheck", "")).status, 400);
   EXPECT_EQ(
       service.handle_precheck(post("/precheck", "change x\nset-asn Ghost 1\n"))
           .status,
       400);
-  EXPECT_EQ(service.precheck_batches(), 0u);
+  EXPECT_EQ(service.session().checks_run(), 0u);
   // The session still answers normal traffic.
   EXPECT_EQ(service.handle_precheck(post("/precheck", kGoodPlan)).status, 200);
 }
 
 TEST_F(GateServiceTest, StaleEpochAnswers409) {
-  GateService service(topology_, quick_config());
+  GateService service(topology_);
   topology_.set_asn(*topology_.find_device("ToR1"), 64999);  // epoch moves
   const auto response = service.handle_precheck(post("/precheck", kGoodPlan));
   EXPECT_EQ(response.status, 409);
@@ -86,7 +80,7 @@ TEST_F(GateServiceTest, StaleEpochAnswers409) {
 }
 
 TEST_F(GateServiceTest, NsgCheckRunsTheSecGuruGate) {
-  GateService service(topology_, quick_config());
+  GateService service(topology_);
   const auto rejected = service.handle_nsg_check(
       post("/nsg-check?vnet=customer&space=10.1.0.0/16&db=1",
            kRestrictiveNsg));
@@ -115,7 +109,7 @@ TEST_F(GateServiceTest, NsgCheckRunsTheSecGuruGate) {
 }
 
 TEST_F(GateServiceTest, GatezSummarizesServing) {
-  GateService service(topology_, quick_config());
+  GateService service(topology_);
   (void)service.handle_precheck(post("/precheck", kGoodPlan));
   const auto response = service.handle_gatez(obs::HttpRequest{});
   EXPECT_EQ(response.status, 200);
@@ -124,11 +118,8 @@ TEST_F(GateServiceTest, GatezSummarizesServing) {
   EXPECT_NE(response.body.find("nsg engines"), std::string::npos);
 }
 
-TEST_F(GateServiceTest, ConcurrentPrechecksCoalesceIntoFewerBatches) {
-  GateConfig config;
-  config.batch_window = std::chrono::milliseconds(100);
-  config.max_batch = 16;
-  GateService service(topology_, config);
+TEST_F(GateServiceTest, ConcurrentPrechecksAreAllServed) {
+  GateService service(topology_);
 
   constexpr int kClients = 6;
   std::atomic<int> ok{0};
@@ -147,24 +138,19 @@ TEST_F(GateServiceTest, ConcurrentPrechecksCoalesceIntoFewerBatches) {
   EXPECT_EQ(ok.load(), kClients);
   EXPECT_EQ(service.prechecks_served(),
             static_cast<std::uint64_t>(kClients));
-  // The whole point of the window: fewer emulator batches than requests.
-  EXPECT_LT(service.precheck_batches(),
-            static_cast<std::uint64_t>(kClients));
 }
 
 TEST_F(GateServiceTest, ConcurrentAnswersEqualSerializedAnswers) {
   // The ISSUE's correctness cross-check, at the service layer: the same
-  // request mix answered (a) through the concurrent batcher and (b) one
-  // at a time by a fresh gate must produce byte-identical bodies.
+  // request mix answered (a) by concurrent callers and (b) one at a time
+  // by a fresh gate must produce byte-identical bodies.
   std::vector<std::string> plans;
   plans.push_back(kGoodPlan);
   plans.push_back(kBadPlan);
   plans.push_back("change renumber ToR3\nset-asn ToR3 64901\n");
   plans.push_back("change down A2\ndown-link ToR2 A2\n");
 
-  GateConfig config;
-  config.batch_window = std::chrono::milliseconds(50);
-  GateService concurrent(topology_, config);
+  GateService concurrent(topology_);
   std::vector<std::string> concurrent_bodies(plans.size());
   std::vector<std::thread> clients;
   for (std::size_t i = 0; i < plans.size(); ++i) {
@@ -175,7 +161,7 @@ TEST_F(GateServiceTest, ConcurrentAnswersEqualSerializedAnswers) {
   }
   for (auto& client : clients) client.join();
 
-  GateService serialized(topology_, quick_config());
+  GateService serialized(topology_);
   for (std::size_t i = 0; i < plans.size(); ++i) {
     EXPECT_EQ(concurrent_bodies[i],
               serialized.handle_precheck(post("/precheck", plans[i])).body)
@@ -184,7 +170,7 @@ TEST_F(GateServiceTest, ConcurrentAnswersEqualSerializedAnswers) {
 }
 
 TEST_F(GateServiceTest, AttachServesOverRealSockets) {
-  GateService service(topology_, quick_config());
+  GateService service(topology_);
   obs::HttpServerConfig http_config;
   obs::HttpServer server(http_config);
   service.attach(server);

@@ -1,7 +1,8 @@
 // Tests of the §2.7 pre-check workflow (Figure 7), including the
 // §2.6.2 "Migrations" root cause: decommissioned and new leaf devices
 // configured with the same ASN, which silently suppresses specific-route
-// announcements between clusters.
+// announcements between clusters. PrecheckSession is the product engine;
+// the cold PrecheckPipeline (precheck_oracle.hpp) is its oracle.
 #include "rcdc/precheck.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "precheck_oracle.hpp"
 #include "rcdc/contract_gen.hpp"
 #include "topology/clos_builder.hpp"
 #include "topology/metadata.hpp"
@@ -29,18 +31,18 @@ class PrecheckTest : public testing::Test {
 };
 
 TEST_F(PrecheckTest, HarmlessChangeIsApproved) {
-  const PrecheckPipeline pipeline(topology_);
+  PrecheckSession session(topology_);
   // Renumbering a ToR's ASN to another value unique in its cluster leaves
   // forwarding intact.
   const auto result =
-      pipeline.check(reassign_asn("renumber ToR1", id("ToR1"), 64900));
+      session.check(reassign_asn("renumber ToR1", id("ToR1"), 64900));
   EXPECT_TRUE(result.approved);
   EXPECT_EQ(result.baseline_violations, 0u);
   EXPECT_EQ(result.post_change_violations, 0u);
 }
 
 TEST_F(PrecheckTest, MigrationAsnCollisionIsRejected) {
-  const PrecheckPipeline pipeline(topology_);
+  PrecheckSession session(topology_);
   // The §2.6.2 migration misconfiguration: cluster B's leaves get cluster
   // A's leaf ASN. Loop prevention then hides each cluster's specific
   // routes from the other; traffic still flows via default routes, but the
@@ -55,7 +57,7 @@ TEST_F(PrecheckTest, MigrationAsnCollisionIsRejected) {
                                      .asn);
         }
       }});
-  const auto results = pipeline.check_rollout(rollout);
+  const auto results = session.check_rollout(rollout);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].approved);
   EXPECT_GT(results[0].introduced.size(), 0u);
@@ -72,9 +74,9 @@ TEST_F(PrecheckTest, MigrationAsnCollisionIsRejected) {
 }
 
 TEST_F(PrecheckTest, ShuttingRedundantLinkIsCaught) {
-  const PrecheckPipeline pipeline(topology_);
+  PrecheckSession session(topology_);
   const auto link = *topology_.find_link(id("ToR1"), id("A1"));
-  const auto result = pipeline.check(
+  const auto result = session.check(
       shut_links("maintenance: shut ToR1-A1", {link}));
   // Intent requires the full redundant set; the shut session degrades
   // ToR1's ECMP fan-out, so the precheck flags it for a maintenance window
@@ -86,8 +88,8 @@ TEST_F(PrecheckTest, ShuttingRedundantLinkIsCaught) {
 TEST_F(PrecheckTest, PreexistingDriftIsNotChargedToTheChange) {
   // Break the network first; a no-op change must still be approved.
   topo::apply_figure3_failures(topology_);
-  const PrecheckPipeline pipeline(topology_);
-  const auto result = pipeline.check(NetworkChange{
+  PrecheckSession session(topology_);
+  const auto result = session.check(NetworkChange{
       .description = "no-op", .apply = [](topo::Topology&) {}});
   EXPECT_GT(result.baseline_violations, 0u);
   EXPECT_EQ(result.post_change_violations, result.baseline_violations);
@@ -95,7 +97,7 @@ TEST_F(PrecheckTest, PreexistingDriftIsNotChargedToTheChange) {
 }
 
 TEST_F(PrecheckTest, RolloutStopsAtFirstRejection) {
-  const PrecheckPipeline pipeline(topology_);
+  PrecheckSession session(topology_);
   std::vector<NetworkChange> rollout;
   rollout.push_back(NetworkChange{.description = "ok",
                                   .apply = [](topo::Topology&) {}});
@@ -103,15 +105,15 @@ TEST_F(PrecheckTest, RolloutStopsAtFirstRejection) {
       "bad", {*topology_.find_link(id("ToR1"), id("A1"))}));
   rollout.push_back(NetworkChange{.description = "never reached",
                                   .apply = [](topo::Topology&) {}});
-  const auto results = pipeline.check_rollout(rollout);
+  const auto results = session.check_rollout(rollout);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(results[0].approved);
   EXPECT_FALSE(results[1].approved);
 }
 
-// The warm serving session must be semantically indistinguishable from
-// the cold clone-per-check pipeline — same verdicts, same counts, same
-// introduced violations — while revalidating only the diverged devices.
+// The warm session must be semantically indistinguishable from the cold
+// clone-per-check oracle — same verdicts, same counts, same introduced
+// violations — while revalidating only the diverged devices.
 class PrecheckSessionTest : public PrecheckTest {
  protected:
   static void expect_same(const PrecheckResult& warm,
@@ -157,22 +159,26 @@ TEST_F(PrecheckSessionTest, ChecksAreIndependentDespiteTheSharedEmulator) {
   EXPECT_EQ(session.checks_run(), 3u);
 }
 
-TEST_F(PrecheckSessionTest, BatchResultsEqualIndividualChecks) {
-  PrecheckSession batched(topology_);
+TEST_F(PrecheckSessionTest, RolloutStepsEqualIndividualChecks) {
+  PrecheckSession rollout(topology_);
   PrecheckSession individual(topology_);
   const std::vector<NetworkChange> changes = {
       reassign_asn("renumber ToR1", id("ToR1"), 64900),
-      shut_links("shut ToR1-A1", {*topology_.find_link(id("ToR1"), id("A1"))}),
       reassign_asn("renumber ToR3", id("ToR3"), 64901),
+      shut_links("shut ToR1-A1", {*topology_.find_link(id("ToR1"), id("A1"))}),
+      reassign_asn("renumber ToR2", id("ToR2"), 64902),
   };
-  const auto batch = batched.check_batch(changes);
-  ASSERT_EQ(batch.size(), changes.size());
-  for (std::size_t i = 0; i < changes.size(); ++i) {
-    expect_same(batch[i], individual.check(changes[i]));
+  const auto results = rollout.check_rollout(changes);
+  // Each step is judged alone against the baseline; the rollout ends with
+  // the first rejected step.
+  ASSERT_EQ(results.size(), 3u);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    expect_same(results[i], individual.check(changes[i]));
   }
-  EXPECT_TRUE(batch[0].approved);
-  EXPECT_FALSE(batch[1].approved);
-  EXPECT_TRUE(batch[2].approved);
+  EXPECT_TRUE(results[0].approved);
+  EXPECT_TRUE(results[1].approved);
+  EXPECT_FALSE(results[2].approved);
+  EXPECT_EQ(rollout.checks_run(), 3u);
 }
 
 TEST_F(PrecheckSessionTest, RevalidatesOnlyDivergedDevices) {
@@ -238,8 +244,17 @@ NetworkChange down_link(std::string description, topo::LinkId link) {
                        }};
 }
 
+void expect_equal(const PrecheckResult& warm, const PrecheckResult& cold) {
+  EXPECT_EQ(warm.approved, cold.approved) << cold.description;
+  EXPECT_EQ(warm.baseline_violations, cold.baseline_violations)
+      << cold.description;
+  EXPECT_EQ(warm.post_change_violations, cold.post_change_violations)
+      << cold.description;
+  EXPECT_EQ(warm.introduced, cold.introduced) << cold.description;
+}
+
 // The delta recheck and the undo-log rollback answer exactly what the cold
-// clone-per-check pipeline answers, introduced violations in order, for
+// clone-per-check oracle answers, introduced violations in order, for
 // every single-link shut and down of the fabric, checked back to back.
 TEST(PrecheckSessionFabric, EveryLinkShutAndDownMatchesThePipeline) {
   const topo::Topology topology = three_cluster_fabric();
@@ -249,17 +264,72 @@ TEST(PrecheckSessionFabric, EveryLinkShutAndDownMatchesThePipeline) {
     for (const NetworkChange& change :
          {shut_links("shut " + std::to_string(link), {link}),
           down_link("down " + std::to_string(link), link)}) {
-      const PrecheckResult warm = session.check(change);
-      const PrecheckResult cold = pipeline.check(change);
-      EXPECT_EQ(warm.approved, cold.approved) << change.description;
-      EXPECT_EQ(warm.baseline_violations, cold.baseline_violations)
-          << change.description;
-      EXPECT_EQ(warm.post_change_violations, cold.post_change_violations)
-          << change.description;
-      EXPECT_EQ(warm.introduced, cold.introduced) << change.description;
+      expect_equal(session.check(change), pipeline.check(change));
     }
   }
   EXPECT_EQ(session.checks_run(), 2 * topology.link_count());
+}
+
+// ASN changes, checked back to back on one session against the oracle, on
+// a fabric with drift (dcv_precheck's golden fabric: two links down, two
+// sessions shut): every device renumbered to a fresh ASN, every leaf moved
+// onto the next cluster's leaf ASN (the §2.6.2 Migrations collision), and
+// one whole cluster's leaves migrated at once.
+TEST(PrecheckSessionFabric, EveryDeviceAsnChangeMatchesTheOracle) {
+  topo::Topology topology = three_cluster_fabric();
+  const auto link = [&topology](const char* a, const char* b) {
+    return *topology.find_link(*topology.find_device(a),
+                               *topology.find_device(b));
+  };
+  topology.set_link_state(link("T2-2-1", "RH-1"), topo::LinkState::kDown);
+  topology.set_link_state(link("T0-0-6", "T1-0-2"), topo::LinkState::kDown);
+  topology.set_bgp_state(link("T0-1-4", "T1-1-0"),
+                         topo::BgpSessionState::kAdminShutdown);
+  topology.set_bgp_state(link("T0-2-4", "T1-2-0"),
+                         topo::BgpSessionState::kAdminShutdown);
+
+  std::vector<NetworkChange> changes;
+  for (const topo::Device& device : topology.devices()) {
+    changes.push_back(reassign_asn("renumber " + device.name, device.id,
+                                   64600 + device.id));
+  }
+  constexpr std::uint32_t kClusters = 3;
+  for (std::uint32_t cluster = 0; cluster < kClusters; ++cluster) {
+    const topo::DeviceId other =
+        topology.leaves_in_cluster((cluster + 1) % kClusters)[0];
+    const topo::Asn asn = topology.device(other).asn;
+    for (const topo::DeviceId leaf : topology.leaves_in_cluster(cluster)) {
+      changes.push_back(reassign_asn(
+          "move " + topology.device(leaf).name + " onto ASN " +
+              std::to_string(asn),
+          leaf, asn));
+    }
+  }
+  ASSERT_EQ(changes.size(), 60u);
+  changes.push_back(NetworkChange{
+      .description = "migrate cluster 2 leaves onto cluster 0's ASN",
+      .apply = [](topo::Topology& emulated) {
+        const topo::Asn asn =
+            emulated.device(emulated.leaves_in_cluster(0)[0]).asn;
+        for (const topo::DeviceId leaf : emulated.leaves_in_cluster(2)) {
+          emulated.set_asn(leaf, asn);
+        }
+      }});
+
+  const PrecheckPipeline pipeline(topology);
+  PrecheckSession session(topology);
+  std::size_t rejected = 0;
+  for (const NetworkChange& change : changes) {
+    const PrecheckResult cold = pipeline.check(change);
+    expect_equal(session.check(change), cold);
+    rejected += cold.approved ? 0 : 1;
+  }
+  EXPECT_GT(session.baseline_violations(), 0u);
+  // Every leaf change is rejected: a renumbered leaf breaks its cluster's
+  // shared leaf ASN, and a moved one collides with another cluster's.
+  EXPECT_GE(rejected, 2 * 12 + 1u);
+  EXPECT_LT(rejected, changes.size());
+  EXPECT_EQ(session.checks_run(), changes.size());
 }
 
 // One ToR-leaf shut touches few rules of each divergent device, so the

@@ -39,11 +39,6 @@ int main(int argc, char** argv) {
           cli::count("--threads", "N", gate_config.precheck_threads,
                      "precheck emulator and validation threads "
                      "(default 0 = hardware default)"),
-          cli::duration<std::chrono::milliseconds>(
-              "--batch-window-ms", gate_config.batch_window,
-              "precheck coalescing window (default 2)"),
-          cli::count("--max-batch", "N", gate_config.max_batch,
-                     "changes per emulator batch (default 16)"),
           cli::count("--nsg-engines", "N", gate_config.nsg_engines,
                      "pooled FastEngines for /nsg-check (default 2)"),
           cli::count("--http-workers", "N", server_config.worker_threads,
@@ -93,8 +88,7 @@ int main(int argc, char** argv) {
 
     cli::pause_for(duration == duration.zero() ? duration.max() : duration);
     server.stop();
-    std::cout << "dcv_gate: " << service.prechecks_served() << " prechecks ("
-              << service.precheck_batches() << " batches), "
+    std::cout << "dcv_gate: " << service.prechecks_served() << " prechecks, "
               << service.nsg_checks_served() << " nsg checks"
               << (cli::stop_requested() ? " (stopped by signal)" : "")
               << "\n";

@@ -1,8 +1,11 @@
 // dcv_precheck — gate network changes before rollout (§2.7, Figure 7).
 //
-// Reads a production topology file and a change plan; each change is
-// applied to an emulated clone, routing re-runs, and RCDC's contracts
-// decide. The plan format is line-oriented:
+// Reads a production topology file and a change plan, builds one warm
+// PrecheckSession (an emulated clone of production, converged and
+// validated once) and prechecks the plan as a rollout: each change is
+// applied to the clone, routing reconverges, RCDC's contracts decide, and
+// the clone is put back before the next change. The rollout stops at the
+// first change that is not approved. The plan format is line-oriented:
 //
 //   # comments allowed
 //   change renumber ToR1
@@ -54,8 +57,8 @@ int main(int argc, char** argv) {
         topo::parse_topology(cli::read_file(topology_path));
     const auto plan =
         rcdc::parse_change_plan(cli::read_file(plan_path), production);
-    const rcdc::PrecheckPipeline pipeline(production);
-    const auto results = pipeline.check_rollout(plan);
+    rcdc::PrecheckSession session(production);
+    const auto results = session.check_rollout(plan);
 
     bool all_approved = results.size() == plan.size();
     for (const rcdc::PrecheckResult& result : results) {

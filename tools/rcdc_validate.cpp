@@ -150,8 +150,8 @@ std::vector<cli::Flag> flag_table(Options& o) {
                  "/metrics.json /healthz /readyz /tracez; runs cycles until "
                  "SIGINT/SIGTERM unless a cycle count bounds them. "
                  "Non-distributed serving also mounts the change gate: POST "
-                 "/precheck (warm emulated prechecks, coalesced into "
-                 "batches), POST /nsg-check (pooled SecGuru), GET /gatez")
+                 "/precheck (warm emulated prechecks), POST /nsg-check "
+                 "(pooled SecGuru), GET /gatez")
           .marks(o.serve_set),
       cli::count("--http-workers", "N", o.http.worker_threads,
                  "HTTP handler threads (default 4)"),
